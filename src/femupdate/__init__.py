@@ -13,8 +13,8 @@ from .modal import (
     pair_modes, solve_modes,
 )
 from .optimizers import (
-    Bounds, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig,
-    arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
+    Bounds, BudgetExhausted, EvalBudget, GaConfig, HistoryRecord, OptimizeResult,
+    SaConfig, arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
     nonuniform_mutate, sa_optimize,
 )
 from .scenario import ScenarioSpec, build_scenario, ground_truth_moduli, h_beam_structure
@@ -30,8 +30,8 @@ __all__ = [
     "BeamElement", "BeamStructure", "SystemMatrices", "assemble",
     "CostWeights", "EigenSolveError", "ModalData", "cost", "frf_inertance",
     "mac", "pair_modes", "solve_modes",
-    "Bounds", "EvalBudget", "GaConfig", "HistoryRecord", "OptimizeResult",
-    "SaConfig", "arithmetic_crossover", "ga_optimize", "geometric_select",
+    "Bounds", "BudgetExhausted", "EvalBudget", "GaConfig", "HistoryRecord",
+    "OptimizeResult", "SaConfig", "arithmetic_crossover", "ga_optimize", "geometric_select",
     "metropolis_accept", "nonuniform_mutate", "sa_optimize",
     "ScenarioSpec", "build_scenario", "ground_truth_moduli", "h_beam_structure",
     "SurrogateNet", "TrainingSet", "forward", "grad", "init_net", "loss", "train",

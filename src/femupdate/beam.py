@@ -100,18 +100,22 @@ class SystemMatrices:
 
     mass: np.ndarray
     stiffness: np.ndarray
-    dof_count: int
     dof_map: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        n = self.dof_count
         if self.dof_map is None:
-            self.dof_map = np.arange(self.dof_count)
+            self.dof_map = np.arange(n)
         for name, m in (("mass", self.mass), ("stiffness", self.stiffness)):
-            if m.shape != (self.dof_count, self.dof_count):
-                raise ValueError(f"{name} matrix shape {m.shape} != dof_count {self.dof_count}")
+            if m.shape != (n, n):
+                raise ValueError(f"{name} matrix shape {m.shape} != ({n}, {n})")
             scale = np.abs(m).max()
             if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
                 raise ValueError(f"{name} matrix is not symmetric")
+
+    @property
+    def dof_count(self) -> int:
+        return self.mass.shape[0]
 
 
 def element_stiffness(ei: float, length: float) -> np.ndarray:
@@ -195,5 +199,4 @@ def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> Syst
 
     mass, k_unit, keep = _assembly_blocks(structure)
     K = np.tensordot(moduli, k_unit, axes=1)
-    return SystemMatrices(mass=mass.copy(), stiffness=K,
-                          dof_count=keep.size, dof_map=keep.copy())
+    return SystemMatrices(mass=mass.copy(), stiffness=K, dof_map=keep.copy())

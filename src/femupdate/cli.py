@@ -18,16 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .beam import assemble
 from .config import ConfigError, RunSettings, load_settings
-from .modal import solve_modes
 from .optimizers import EvalBudget
 from .report import (
     render_modes_summary, write_comparison, write_design, write_history,
     write_report,
 )
 from .scenario import build_scenario
-from .updating import full_objective, ga_update, rsm_update, sa_update, sample_design
+from .updating import (
+    full_objective, ga_update, rsm_update, sa_update, sample_design, solve_observed,
+)
 
 log = logging.getLogger(__name__)
 
@@ -142,13 +142,11 @@ def cmd_modes(args) -> int:
     problem, truth = build_scenario(settings.spec, structure=settings.structure)
     structure = problem.structure
     observed = problem.measured.coordinate_map
-    n_solve = min(problem.n_modes + 4, structure.n_dofs)
 
     def summarize(moduli):
-        modes = solve_modes(assemble(structure, moduli), n_solve)
+        modes = solve_observed(structure, moduli, problem.n_modes, observed)
         shown = int(modes.rigid.sum()) + problem.n_modes  # rigid + compared elastic
-        return modes.select_modes(np.arange(min(shown, modes.n_modes))) \
-            .at_coordinates(observed)
+        return modes.select_modes(np.arange(min(shown, modes.n_modes)))
 
     text = render_modes_summary(summarize(structure.moduli()), summarize(truth),
                                 observed)

@@ -1,8 +1,9 @@
 """Box-constrained optimizers: real-coded GA and simulated annealing.
 
 Both work on bounded parameter vectors against a pluggable scalar
-objective, share an evaluation budget, and are bit-deterministic per
-seed. Every candidate handed to the objective lies inside the bounds.
+objective, stop early when the objective raises BudgetExhausted, and
+are bit-deterministic per seed. Every candidate handed to the
+objective lies inside the bounds.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ class SaConfig:
             raise ValueError("steps_per_temperature must be >= 1")
 
 
+class BudgetExhausted(RuntimeError):
+    """Raised by EvalBudget.consume once its cap is reached."""
+
+
 class EvalBudget:
     """Thread-safe running count of objective evaluations, with optional cap."""
 
@@ -102,17 +107,12 @@ class EvalBudget:
     def calls(self) -> int:
         return self._calls
 
-    @property
-    def exhausted(self) -> bool:
-        return self.limit is not None and self._calls >= self.limit
-
-    def consume(self) -> bool:
-        """Reserve one evaluation; False if the cap is already reached."""
+    def consume(self):
+        """Reserve one evaluation; raises BudgetExhausted if the cap is reached."""
         with self._lock:
             if self.limit is not None and self._calls >= self.limit:
-                return False
+                raise BudgetExhausted(f"FE evaluation budget of {self.limit} exhausted")
             self._calls += 1
-            return True
 
     def charge(self, n: int):
         """Account for n evaluations performed elsewhere (e.g. a loaded design)."""
@@ -138,10 +138,6 @@ class OptimizeResult:
     best_cost: float
     history: list[HistoryRecord] = field(default_factory=list)
     truncated: bool = False
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def arithmetic_crossover(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -215,25 +211,18 @@ def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bo
     return rng.uniform() < math.exp(arg)
 
 
-def ga_optimize(objective, bounds: Bounds, cfg: GaConfig,
-                budget: EvalBudget | None = None) -> OptimizeResult:
+def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     """Real-coded genetic algorithm over a box.
 
     The full population is evaluated every generation (the carried-over
     elite included), so the total number of objective calls is exactly
-    population_size * generations unless the budget truncates the run.
-    History rows carry per-generation best/mean cost and cumulative
-    evaluations; the best-ever individual is returned.
+    population_size * generations unless the objective raises
+    BudgetExhausted, which truncates the run. History rows carry
+    per-generation best/mean cost and cumulative evaluations; the
+    best-ever individual is returned.
     """
-    if budget is None:
-        budget = EvalBudget()
     rng = np.random.default_rng(cfg.seed)
     d = bounds.dim
-
-    def evaluate(x):
-        if not budget.consume():
-            raise _BudgetExhausted
-        return float(objective(x))
 
     pop = rng.uniform(bounds.lower, bounds.upper, (cfg.population_size, d))
     best_x = pop[0].copy()
@@ -246,9 +235,9 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig,
         costs = np.empty(cfg.population_size)
         try:
             for i in range(cfg.population_size):
-                costs[i] = evaluate(pop[i])
+                costs[i] = float(objective(pop[i]))
                 evaluations += 1
-        except _BudgetExhausted:
+        except BudgetExhausted:
             truncated = True
             log.warning("GA stopped by evaluation budget at generation %d", gen)
             break
@@ -289,7 +278,6 @@ def _next_generation(pop, costs, best_x, gen, cfg: GaConfig, bounds: Bounds, rng
 
 
 def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
-                budget: EvalBudget | None = None,
                 x0: np.ndarray | None = None) -> OptimizeResult:
     """Simulated annealing with geometric cooling and Gaussian proposals.
 
@@ -300,18 +288,12 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
     the box) are screened by the Metropolis rule; the temperature is
     then multiplied by cooling_factor until min_temperature. History has
     one row per temperature level, tagged with the run index. The global
-    best over all runs is returned.
+    best over all runs is returned. An objective raising BudgetExhausted
+    truncates the run.
     """
-    if budget is None:
-        budget = EvalBudget()
     rng = np.random.default_rng(cfg.seed)
     steps = cfg.steps_per_temperature or 4 * bounds.dim
     std = cfg.step_scale * bounds.range
-
-    def evaluate(x):
-        if not budget.consume():
-            raise _BudgetExhausted
-        return float(objective(x))
 
     best_x = None
     best_cost = math.inf
@@ -328,7 +310,7 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
                 x = np.asarray(x0, dtype=float).copy()
             else:
                 x = rng.uniform(bounds.lower, bounds.upper)
-            e = evaluate(x)
+            e = float(objective(x))
             evaluations += 1
             if e < best_cost:
                 best_cost, best_x = e, x.copy()
@@ -339,7 +321,7 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
                 for _ in range(steps):
                     proposal = np.clip(x + rng.normal(0.0, 1.0, bounds.dim) * std,
                                        bounds.lower, bounds.upper)
-                    e_new = evaluate(proposal)
+                    e_new = float(objective(proposal))
                     evaluations += 1
                     if not math.isfinite(e_new):
                         rejected_nonfinite += 1
@@ -355,7 +337,7 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
                     mean_cost=float(np.mean(level_costs)) if level_costs else math.nan,
                     evaluations=evaluations, temperature=temperature, run=run))
                 temperature *= cfg.cooling_factor
-        except _BudgetExhausted:
+        except BudgetExhausted:
             truncated = True
             log.warning("SA stopped by evaluation budget in run %d", run)
             break

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamElement, BeamStructure, assemble
-from .modal import CostWeights, ModalData, pair_modes, solve_modes
+from .beam import BeamElement, BeamStructure
+from .modal import CostWeights, ModalData, pair_modes
 from .optimizers import Bounds
-from .updating import UpdatingProblem, compute_gamma_weights
+from .updating import UpdatingProblem, compute_gamma_weights, solve_observed
 
 
 @dataclass
@@ -175,12 +175,10 @@ def build_scenario(spec: ScenarioSpec,
     else:
         observed = np.asarray(spec.observed_dofs, dtype=int)
 
-    n_solve = min(spec.n_modes + 4, structure.n_dofs)
-    truth_modes = solve_modes(assemble(structure, truth), n_solve)
-    elastic = truth_modes.elastic()
+    elastic = solve_observed(structure, truth, spec.n_modes, observed).elastic()
     if elastic.n_modes < spec.n_modes:
         raise ValueError("model yields fewer elastic modes than requested")
-    measured = elastic.select_modes(np.arange(spec.n_modes)).at_coordinates(observed)
+    measured = elastic.select_modes(np.arange(spec.n_modes))
 
     if spec.noise_std > 0.0:
         rng = np.random.default_rng(spec.seed)
@@ -192,7 +190,7 @@ def build_scenario(spec: ScenarioSpec,
                              coordinate_map=measured.coordinate_map,
                              damping_ratios=measured.damping_ratios[order])
 
-    initial_modes = solve_modes(assemble(structure), n_solve).at_coordinates(observed)
+    initial_modes = solve_observed(structure, None, spec.n_modes, observed)
     pairing = pair_modes(initial_modes, measured)
     gamma = compute_gamma_weights(initial_modes.select_modes(pairing), measured,
                                   mode=spec.gamma_mode)
@@ -203,7 +201,6 @@ def build_scenario(spec: ScenarioSpec,
         bounds=Bounds(lower=np.full(n_el, spec.lower_bound),
                       upper=np.full(n_el, spec.upper_bound)),
         measured=measured,
-        n_modes=spec.n_modes,
         weights=CostWeights(gamma=gamma, beta=spec.beta),
         target_cost=spec.target_cost,
     )

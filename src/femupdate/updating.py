@@ -34,54 +34,35 @@ RIGID_ALLOWANCE = 4
 class UpdatingProblem:
     """A structure, its measured modal data and the updating search space.
 
-    param_elements optionally restricts updating to a subset of elements;
-    the remaining elements keep the structure's stored moduli.
+    The parameters are the per-element elastic moduli; measured sets the
+    number of compared modes.
     """
 
     structure: BeamStructure
     bounds: Bounds
     measured: ModalData
-    n_modes: int
     weights: CostWeights
     target_cost: float = 0.0
-    param_elements: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.param_elements is not None:
-            self.param_elements = np.asarray(self.param_elements, dtype=int)
-            if np.unique(self.param_elements).size != self.param_elements.size:
-                raise ValueError("param_elements must be unique")
-            if np.any(self.param_elements < 0) or np.any(
-                    self.param_elements >= self.structure.n_elements):
-                raise ValueError("param_elements out of range")
         if self.bounds.dim != self.n_params:
             raise ValueError(
                 f"bounds dimension {self.bounds.dim} != parameter count {self.n_params}")
-        if self.measured.n_modes != self.n_modes:
-            raise ValueError("measured mode count must equal n_modes")
         if self.weights.gamma.size != self.n_modes:
             raise ValueError("need one gamma weight per compared mode")
         if self.target_cost < 0.0:
             raise ValueError("target_cost must be >= 0")
 
     @property
+    def n_modes(self) -> int:
+        return self.measured.n_modes
+
+    @property
     def n_params(self) -> int:
-        if self.param_elements is not None:
-            return self.param_elements.size
         return self.structure.n_elements
 
     def initial_parameters(self) -> np.ndarray:
-        m = self.structure.moduli()
-        if self.param_elements is not None:
-            return m[self.param_elements]
-        return m
-
-    def full_moduli(self, params: np.ndarray) -> np.ndarray:
-        if self.param_elements is None:
-            return np.asarray(params, dtype=float)
-        m = self.structure.moduli()
-        m[self.param_elements] = params
-        return m
+        return self.structure.moduli()
 
 
 @dataclass
@@ -151,13 +132,14 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
                    budget: EvalBudget) -> float:
     """Modal-distance cost of one parameter vector on the full FE model.
 
-    Counts one FE evaluation. Eigen failures yield +inf so optimizers
-    reject the candidate and keep running.
+    Counts one FE evaluation in budget, which raises BudgetExhausted once
+    its cap is reached. Eigen failures yield +inf so optimizers reject
+    the candidate and keep running.
     """
-    if not budget.consume():
-        raise RuntimeError("FE evaluation budget exhausted")
+    budget.consume()
     try:
-        calc = _solve_observed(problem, params)
+        calc = solve_observed(problem.structure, params, problem.n_modes,
+                              problem.measured.coordinate_map)
     except (EigenSolveError, ValueError) as exc:
         log.warning("full objective failed for a candidate: %s", exc)
         return math.inf
@@ -165,11 +147,17 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
     return cost(calc, problem.measured, problem.weights, pairing=pairing)
 
 
-def _solve_observed(problem: UpdatingProblem, params: np.ndarray) -> ModalData:
-    matrices = assemble(problem.structure, problem.full_moduli(params))
-    n_solve = min(problem.n_modes + RIGID_ALLOWANCE, matrices.dof_count)
-    modes = solve_modes(matrices, n_solve)
-    return modes.at_coordinates(problem.measured.coordinate_map)
+def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
+                   n_modes: int, observed) -> ModalData:
+    """Lowest modes of the structure restricted to the observed DOFs.
+
+    Solves n_modes plus RIGID_ALLOWANCE modes, so rigid-body modes do not
+    crowd out compared ones, capped at the DOF count left after the
+    boundary constraints. moduli=None uses the structure's stored moduli.
+    """
+    matrices = assemble(structure, moduli)
+    modes = solve_modes(matrices, min(n_modes + RIGID_ALLOWANCE, matrices.dof_count))
+    return modes.at_coordinates(observed)
 
 
 def compute_gamma_weights(initial: ModalData, measured: ModalData,
@@ -215,7 +203,8 @@ def sample_design(bounds: Bounds, n: int, seed: int, method: str = "lhs") -> np.
 
 def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
     """Paired frequencies (Hz), percent errors and mean MAC diagonal."""
-    solved = _solve_observed(problem, params)
+    solved = solve_observed(problem.structure, params, problem.n_modes,
+                            problem.measured.coordinate_map)
     pairing = pair_modes(solved, problem.measured)
     meas = problem.measured
     hz = solved.frequencies_hz[pairing]
@@ -271,7 +260,8 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
 
     Total FE evaluations are n_samples + (iterations performed). The
     returned parameters are always full-model evaluated. A precomputed
-    (points, costs) design may be passed to warm-start step 1.
+    (points, costs) design may be passed to warm-start step 1. A
+    non-finite design cost makes surrogate training raise ValueError.
     """
     t0 = time.perf_counter()
     budget = EvalBudget()
@@ -301,11 +291,7 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
     target_reached = False
     for it in range(1, cfg.max_iterations + 1):
         cycles = cfg.initial_cycles if it == 1 else cfg.incremental_cycles
-        try:
-            net = train(net, TrainingSet(inputs=X, targets=t), cycles)
-        except ValueError as exc:
-            log.error("surrogate training failed at iteration %d: %s", it, exc)
-            break
+        net = train(net, TrainingSet(inputs=X, targets=t), cycles)
         inner_cfg = replace(cfg.ga, seed=cfg.ga.seed + it)
         inner = ga_optimize(lambda x: forward(net, x), problem.bounds, inner_cfg)
         c_full = full_objective(problem, inner.best_x, budget)

@@ -230,6 +230,25 @@ def test_modes_summary(small_config, tmp_path, capsys):
     assert text.count("yes") >= 2
 
 
+def test_modes_short_constrained_structure(tmp_path, capsys):
+    # 4 DOFs remain after clamping; more modes than that were requested before
+    path = tmp_path / "cantilever.ini"
+    path.write_text("""\
+[structure]
+kind = explicit
+nodes = 0,0; 0.1,0; 0.2,0
+elements = 0,1,3e-4,2.5e-9,2700,7e10; 1,2,3e-4,2.5e-9,2700,7e10
+constrained_dofs = 0,1
+
+[scenario]
+perturbations = 1:6.5e10
+n_modes = 3
+""")
+    assert main(["modes", "--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "[initial]" in text and "[ground_truth]" in text
+
+
 def test_modes_to_file_differs_between_models(small_config, tmp_path):
     out = tmp_path / "modes.txt"
     assert main(["modes", "--config", str(small_config), "--out", str(out)]) == 0

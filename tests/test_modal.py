@@ -13,7 +13,7 @@ from femupdate.modal import (
 def make_system(K, M):
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
-    return SystemMatrices(mass=M, stiffness=K, dof_count=K.shape[0])
+    return SystemMatrices(mass=M, stiffness=K)
 
 
 def random_spd(rng, n, diag_boost=1.0):
@@ -78,7 +78,7 @@ def test_mass_orthogonality_and_residual():
 
 
 def test_mass_not_positive_definite():
-    sys = SystemMatrices(mass=np.diag([1.0, 0.0]), stiffness=np.eye(2), dof_count=2)
+    sys = SystemMatrices(mass=np.diag([1.0, 0.0]), stiffness=np.eye(2))
     with pytest.raises(EigenSolveError, match="positive definite"):
         solve_modes(sys, 1)
 

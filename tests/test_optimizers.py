@@ -17,11 +17,16 @@ def unit_box(d):
 
 
 class CountingObjective:
-    def __init__(self, fn):
+    """Counts calls, charging each to budget first when one is given."""
+
+    def __init__(self, fn, budget=None):
         self.fn = fn
+        self.budget = budget
         self.calls = 0
 
     def __call__(self, x):
+        if self.budget is not None:
+            self.budget.consume()
         self.calls += 1
         return self.fn(x)
 
@@ -195,10 +200,10 @@ def test_ga_constant_objective():
 
 
 def test_ga_counts_evaluations_exactly():
-    obj = CountingObjective(lambda x: float(np.sum(x**2)))
     budget = EvalBudget()
+    obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
     cfg = GaConfig(population_size=12, generations=9, seed=3)
-    res = ga_optimize(obj, unit_box(4), cfg, budget)
+    res = ga_optimize(obj, unit_box(4), cfg)
     assert budget.calls == obj.calls == 12 * 9
     assert res.history[-1].evaluations == 12 * 9
 
@@ -236,9 +241,9 @@ def test_ga_deterministic_per_seed():
 
 def test_ga_budget_truncation():
     budget = EvalBudget(limit=25)
-    obj = CountingObjective(lambda x: float(np.sum(x**2)))
+    obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
     res = ga_optimize(obj, unit_box(2),
-                      GaConfig(population_size=10, generations=10, seed=6), budget)
+                      GaConfig(population_size=10, generations=10, seed=6))
     assert res.truncated
     assert budget.calls == 25 == obj.calls
     assert np.isfinite(res.best_cost)
@@ -272,11 +277,11 @@ def test_sa_history_has_run_segments():
 
 
 def test_sa_evaluation_accounting():
-    obj = CountingObjective(lambda x: float(np.sum(x**2)))
     budget = EvalBudget()
+    obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
     cfg = SaConfig(n_runs=2, steps_per_temperature=5, min_temperature=1e-2,
                    cooling_factor=0.5, seed=13)
-    sa_optimize(obj, unit_box(2), cfg, budget)
+    sa_optimize(obj, unit_box(2), cfg)
     # temperature levels: 1.0 * 0.5^k > 1e-2 -> 7 levels; +1 start eval per run
     assert budget.calls == obj.calls == 2 * (1 + 7 * 5)
 
@@ -320,8 +325,8 @@ def test_sa_best_non_increasing_and_nonfinite_rejected():
 
 def test_sa_budget_truncation():
     budget = EvalBudget(limit=30)
-    res = sa_optimize(lambda x: float(np.sum(x**2)), unit_box(2),
-                      SaConfig(n_runs=3, seed=17), budget)
+    obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
+    res = sa_optimize(obj, unit_box(2), SaConfig(n_runs=3, seed=17))
     assert res.truncated
     assert budget.calls == 30
 

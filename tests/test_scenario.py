@@ -139,3 +139,20 @@ def test_explicit_constrained_structure_observes_free_dofs_only():
                                   np.arange(2, 12, 2))
     assert full_objective(problem, truth, EvalBudget()) < 1e-10
     assert truth[2] == 6.4e10
+
+
+def test_short_cantilever_solves_within_reduced_dofs():
+    # 2 elements, clamped: 4 DOFs remain, fewer than n_modes + the rigid
+    # allowance, and fewer than the 6 unconstrained DOFs
+    from femupdate.beam import BeamElement, BeamStructure
+
+    cantilever = BeamStructure(
+        nodes=np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]),
+        elements=[BeamElement(i, i + 1, 3e-4, 2.5e-9, 2700.0, 7e10) for i in range(2)],
+        constrained_dofs=(0, 1),
+    )
+    spec = ScenarioSpec(ground_truth_perturbations=((1, 6.5e10),), n_modes=3)
+    problem, truth = build_scenario(spec, structure=cantilever)
+    assert problem.n_modes == 3
+    np.testing.assert_array_equal(problem.measured.coordinate_map, [2, 4])
+    assert full_objective(problem, truth, EvalBudget()) < 1e-10

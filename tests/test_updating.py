@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from femupdate.optimizers import Bounds, EvalBudget, GaConfig, SaConfig
+from femupdate.optimizers import (
+    Bounds, BudgetExhausted, EvalBudget, GaConfig, SaConfig, ga_optimize, sa_optimize,
+)
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import (
     RsmConfig, compute_gamma_weights, full_objective, rsm_update, ga_update,
@@ -47,6 +49,29 @@ def test_objective_increments_budget_by_one(default_problem):
     for expected in (1, 2, 3):
         full_objective(problem, truth, budget)
         assert budget.calls == expected
+
+
+def test_objective_raises_when_budget_capped(default_problem):
+    problem, truth = default_problem
+    budget = EvalBudget(limit=1)
+    full_objective(problem, truth, budget)
+    with pytest.raises(BudgetExhausted):
+        full_objective(problem, truth, budget)
+    assert budget.calls == 1
+
+
+@pytest.mark.parametrize("optimize, cfg", [
+    (ga_optimize, GaConfig(population_size=10, generations=5, seed=1)),
+    (sa_optimize, SaConfig(n_runs=1, seed=1)),
+])
+def test_capped_objective_truncates_optimizer(default_problem, optimize, cfg):
+    # the objective's budget is the only counter: its cap ends the run
+    problem, _ = default_problem
+    budget = EvalBudget(limit=25)
+    res = optimize(lambda x: full_objective(problem, x, budget), problem.bounds, cfg)
+    assert res.truncated
+    assert budget.calls == 25
+    assert np.isfinite(res.best_cost)
 
 
 def test_objective_infinite_on_solver_failure(default_problem):
@@ -168,6 +193,17 @@ def test_rsm_deterministic(default_problem):
     np.testing.assert_array_equal(r1.updated_parameters, r2.updated_parameters)
     assert r1.final_cost == r2.final_cost
     assert r1.fe_evaluations == r2.fe_evaluations
+
+
+def test_rsm_nonfinite_design_cost_raises(default_problem):
+    problem, _ = default_problem
+    cfg = small_rsm_config()
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
+    t0[7] = np.inf
+    # surrogate training rejects the design instead of ending the loop silently
+    with pytest.raises(ValueError, match="finite"):
+        rsm_update(problem, cfg, initial_design=(X0, t0))
 
 
 def test_rsm_rejects_design_shape_mismatch(default_problem):

@@ -10,6 +10,7 @@ enters the model only through element lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,20 @@ class SystemMatrices:
     def dof_count(self) -> int:
         return self.mass.shape[0]
 
+    @cached_property
+    def mass_factor_inv(self) -> np.ndarray:
+        """W = L^-1 for the Cholesky factor M = L L^T, computed on first use.
+
+        assemble() sets it from the structure's cache, so the mass is
+        factored once per structure rather than once per solve. Raises
+        numpy.linalg.LinAlgError if the mass is not positive definite.
+        """
+        return _inverse_cholesky(self.mass)
+
+
+def _inverse_cholesky(mass: np.ndarray) -> np.ndarray:
+    return np.linalg.inv(np.linalg.cholesky(mass))
+
 
 def element_stiffness(ei: float, length: float) -> np.ndarray:
     """4x4 Euler-Bernoulli bending stiffness for DOFs (w_a, th_a, w_b, th_b)."""
@@ -145,9 +160,11 @@ def element_mass(rho_a: float, length: float) -> np.ndarray:
 def _assembly_blocks(structure: BeamStructure):
     """Moduli-independent assembly data, cached on the structure.
 
-    Returns (mass, unit_stiffness, keep): the reduced global mass matrix,
-    one reduced unit-modulus stiffness block per element (the global
-    stiffness is their moduli-weighted sum), and the retained DOF indices.
+    Returns (mass, unit_stiffness, keep, mass_factor_inv): the reduced
+    global mass matrix, one reduced unit-modulus stiffness block per
+    element (the global stiffness is their moduli-weighted sum), the
+    retained DOF indices, and the inverse Cholesky factor of the mass
+    (None if the mass is not positive definite; solve_modes reports it).
     Structures are treated as immutable once assembled.
     """
     cached = getattr(structure, "_assembly_cache", None)
@@ -165,9 +182,13 @@ def _assembly_blocks(structure: BeamStructure):
         K_unit[idx][grid] += ke
         M[grid] += me
     keep = np.setdiff1d(np.arange(n), np.array(structure.constrained_dofs, dtype=int))
-    cached = (M[np.ix_(keep, keep)].copy(),
-              K_unit[:, keep[:, None], keep[None, :]].copy(),
-              keep)
+    mass = M[np.ix_(keep, keep)].copy()
+    try:
+        w = _inverse_cholesky(mass)
+        w.flags.writeable = False  # shared by every assembled system
+    except np.linalg.LinAlgError:
+        w = None
+    cached = (mass, K_unit[:, keep[:, None], keep[None, :]].copy(), keep, w)
     structure._assembly_cache = cached
     return cached
 
@@ -197,6 +218,9 @@ def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> Syst
     if np.any(moduli <= 0.0) or not np.all(np.isfinite(moduli)):
         raise ValueError("all moduli must be finite and strictly positive")
 
-    mass, k_unit, keep = _assembly_blocks(structure)
+    mass, k_unit, keep, w = _assembly_blocks(structure)
     K = np.tensordot(moduli, k_unit, axes=1)
-    return SystemMatrices(mass=mass.copy(), stiffness=K, dof_map=keep.copy())
+    matrices = SystemMatrices(mass=mass.copy(), stiffness=K, dof_map=keep.copy())
+    if w is not None:
+        matrices.mass_factor_inv = w
+    return matrices

@@ -2,6 +2,11 @@
 
 The generalized eigenproblem K phi = omega^2 M phi is solved undamped:
 damping enters only as per-mode ratios used by the FRF synthesis.
+The mass does not depend on the moduli, so its Cholesky factor is
+computed once per structure (see beam.SystemMatrices.mass_factor_inv).
+Each solve then runs on numpy's LAPACK alone, the BLAS build and thread
+pool that assembly uses too: a second BLAS library in the evaluation
+would bring a second thread pool, and the two spin against each other.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from .beam import SystemMatrices
 
@@ -150,10 +154,13 @@ def solve_modes(matrices: SystemMatrices, n_modes: int,
                 residual_tol: float = 1e-8) -> ModalData:
     """Lowest n_modes eigenpairs of K phi = omega^2 M phi.
 
-    The mass matrix is Cholesky-factored (M = L L^T) and the pencil is
-    reduced to a standard symmetric problem on L^-1 K L^-T, solved densely.
-    Returned shapes are mass-normalized (phi^T M phi = 1). Rigid-body
-    modes (omega ~ 0) stay in the spectrum and are flagged.
+    With M = L L^T and W = L^-1 (matrices.mass_factor_inv, factored once
+    per structure by assemble, or on first use for hand-built matrices),
+    the pencil is reduced to the standard symmetric problem
+    A = W K W^T and solved densely with numpy.linalg.eigh, so the whole
+    solve stays on numpy's BLAS pool. Returned shapes are
+    mass-normalized (phi^T M phi = 1). Rigid-body modes (omega ~ 0) stay
+    in the spectrum and are flagged.
 
     Raises
     ------
@@ -168,23 +175,22 @@ def solve_modes(matrices: SystemMatrices, n_modes: int,
     M = matrices.mass
     K = matrices.stiffness
     try:
-        L = np.linalg.cholesky(M)
+        W = matrices.mass_factor_inv
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"mass matrix is not positive definite: {exc}") from exc
 
     # A = L^-1 K L^-T, symmetrized against roundoff
-    tmp = solve_triangular(L, K, lower=True)
-    A = solve_triangular(L, tmp.T, lower=True)
+    A = W @ K @ W.T
     A = 0.5 * (A + A.T)
     try:
-        lam, Y = eigh(A)
+        lam, Y = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"dense symmetric eigensolver did not converge: {exc}") from exc
 
     rigid_count = _count_rigid(lam, rigid_ratio)
     lam_sel = lam[:n_modes]
     # phi = L^-T y keeps y^T y = 1 equivalent to phi^T M phi = 1
-    phi = solve_triangular(L.T, Y[:, :n_modes], lower=False)
+    phi = W.T @ Y[:, :n_modes]
 
     rigid = np.zeros(n_modes, dtype=bool)
     rigid[:min(rigid_count, n_modes)] = True
@@ -262,7 +268,9 @@ def cost(calc: ModalData, measured: ModalData, weights: CostWeights,
     if np.any(measured.frequencies == 0.0):
         raise ValueError("measured frequencies must be non-zero")
     rel = (measured.frequencies - calc.frequencies[pairing]) / measured.frequencies
-    mac_diag = np.diag(mac(calc.mode_shapes[:, pairing], measured.mode_shapes))
+    # MAC lies in [0, 1]; clipping keeps roundoff from making the cost negative
+    mac_diag = np.clip(np.diag(mac(calc.mode_shapes[:, pairing], measured.mode_shapes)),
+                       0.0, 1.0)
     return float(np.sum(weights.gamma * rel**2) + weights.beta * np.sum(1.0 - mac_diag))
 
 

@@ -217,7 +217,9 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     The full population is evaluated every generation (the carried-over
     elite included), so the total number of objective calls is exactly
     population_size * generations unless the objective raises
-    BudgetExhausted, which truncates the run. History rows carry
+    BudgetExhausted, which truncates the run; the candidates of the cut
+    generation evaluated before that still count toward the best and
+    get one history row. History rows carry
     per-generation best/mean cost and cumulative evaluations; the
     best-ever individual is returned.
     """
@@ -232,15 +234,18 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     truncated = False
 
     for gen in range(1, cfg.generations + 1):
-        costs = np.empty(cfg.population_size)
+        paid = []
         try:
-            for i in range(cfg.population_size):
-                costs[i] = float(objective(pop[i]))
-                evaluations += 1
+            for x in pop:
+                paid.append(float(objective(x)))
         except BudgetExhausted:
             truncated = True
             log.warning("GA stopped by evaluation budget at generation %d", gen)
+        if not paid:
             break
+        # a truncated generation still reports the prefix it paid for
+        costs = np.array(paid)
+        evaluations += costs.size
         gen_best = int(np.argmin(costs))
         if costs[gen_best] < best_cost:
             best_cost = float(costs[gen_best])
@@ -248,6 +253,8 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
         history.append(HistoryRecord(step=gen, best_cost=best_cost,
                                      mean_cost=float(costs.mean()),
                                      evaluations=evaluations))
+        if truncated:
+            break
         if gen < cfg.generations:
             pop = _next_generation(pop, costs, best_x, gen, cfg, bounds, rng)
 

@@ -158,6 +158,7 @@ def production_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_5_evaluation_accounting(production_runs):
     for r_rsm, r_ga, _ in production_runs:
         assert r_rsm.fe_evaluations == 150 + 10
@@ -165,6 +166,7 @@ def test_criterion_5_evaluation_accounting(production_runs):
     report("5 rsm-160-and-ga-10000-evaluations")
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_recovery(production_runs):
     passed = 0
     for r_rsm, r_ga, r_sa in production_runs:
@@ -179,6 +181,7 @@ def test_criterion_6_end_to_end_recovery(production_runs):
     report(f"6 end-to-end-recovery ({passed}/5 seeds)")
 
 
+@pytest.mark.slow
 def test_criterion_7_mac_improvement(production_runs):
     for r_rsm, r_ga, r_sa in production_runs:
         for r in (r_rsm, r_ga, r_sa):
@@ -209,6 +212,7 @@ n_runs = 2
 """
 
 
+@pytest.mark.slow
 def test_criterion_8_deterministic_reports(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(DETERMINISM_CONFIG)

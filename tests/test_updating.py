@@ -74,6 +74,28 @@ def test_capped_objective_truncates_optimizer(default_problem, optimize, cfg):
     assert np.isfinite(res.best_cost)
 
 
+def test_ga_truncated_mid_generation_keeps_paid_costs(default_problem):
+    problem, _ = default_problem
+    budget = EvalBudget(limit=5)
+    paid = []
+
+    def objective(x):
+        c = full_objective(problem, x, budget)
+        paid.append((x.copy(), c))
+        return c
+
+    res = ga_optimize(objective, problem.bounds,
+                      GaConfig(population_size=10, generations=5, seed=1))
+    assert res.truncated
+    assert budget.calls == len(paid) == 5
+    costs = [c for _, c in paid]
+    assert res.best_cost == min(costs)
+    assert any(np.array_equal(res.best_x, x) for x, _ in paid)
+    assert len(res.history) == 1
+    assert res.history[0].evaluations == 5
+    assert res.history[0].best_cost == min(costs)
+
+
 def test_objective_infinite_on_solver_failure(default_problem):
     problem, truth = default_problem
     bad = truth.copy()

@@ -76,11 +76,7 @@ def _echo_with_seeds(settings: RunSettings, report):
 
 
 def cmd_run(args) -> int:
-    try:
-        settings = _load(args.config, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    settings = _load(args.config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     problem, _ = build_scenario(settings.spec, structure=settings.structure)
@@ -116,11 +112,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        settings = _load(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    settings = _load(args.config)
     problem, _ = build_scenario(settings.spec, structure=settings.structure)
     cfg = settings.rsm
     X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
@@ -134,11 +126,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    try:
-        settings = _load(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    settings = _load(args.config)
     problem, truth = build_scenario(settings.spec, structure=settings.structure)
     structure = problem.structure
     observed = problem.measured.coordinate_map
@@ -168,6 +156,9 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(args)
         return cmd_modes(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

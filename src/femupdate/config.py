@@ -1,14 +1,16 @@
 """INI-style run configuration for the command-line front end.
 
-Sections: [structure], [scenario], [cost], [rsm], [ga], [sa]. Every
-field has a default, so an empty file describes the default fixture at
-production settings; see the README for the full schema and units.
+Sections: [structure], [scenario], [cost] (together ScenarioSpec),
+[rsm], [ga], [sa]. Each key fills the dataclass field of its name and an
+unset key keeps the field's default, so an empty file describes the
+default fixture at production settings. Unknown sections and keys are
+errors. See the README for the full schema and units.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -50,9 +52,32 @@ class RunSettings:
                 "ga": self.ga.seed, "sa": self.sa.seed}
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
+def _field_names(cls, *skip) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# section -> (dataclass it fills, its keys); kind, nodes, elements and
+# constrained_dofs fill no field, _load_structure reads them
+SECTIONS = {
+    "structure": (ScenarioSpec, ("crossbar_length", "left_flange_length",
+                                 "right_flange_length", "left_flange_elements",
+                                 "right_flange_elements", "crossbar_elements",
+                                 "area", "second_moment", "density",
+                                 "nominal_modulus", "kind", "nodes", "elements",
+                                 "constrained_dofs")),
+    "scenario": (ScenarioSpec, ("perturbations", "n_modes", "noise_std", "seed",
+                                "lower_bound", "upper_bound", "observed_dofs")),
+    "cost": (ScenarioSpec, ("beta", "gamma_mode", "target_cost")),
+    "rsm": (RsmConfig, _field_names(RsmConfig, "ga")),  # the inner GA is [ga]
+    "ga": (GaConfig, _field_names(GaConfig)),
+    "sa": (SaConfig, _field_names(SaConfig)),
+}
+
+# keys named differently from the field they fill
+FIELD_OF_KEY = {"perturbations": "ground_truth_perturbations"}
+
+
+def _get(parser, section, key, cast):
     raw = parser.get(section, key)
     try:
         return cast(raw)
@@ -73,6 +98,14 @@ def _parse_perturbations(raw: str) -> tuple:
 
 def _parse_int_list(raw: str) -> tuple:
     return tuple(int(v) for v in raw.replace(";", ",").split(",") if v.strip())
+
+
+def _parse_steps(raw: str) -> int | None:
+    return None if raw.strip().lower() == "auto" else int(raw)
+
+
+def _parse_word(raw: str) -> str:
+    return raw.strip().lower()
 
 
 def _parse_nodes(raw: str) -> np.ndarray:
@@ -98,10 +131,62 @@ def _parse_elements(raw: str) -> list[BeamElement]:
     return out
 
 
+# keys whose text is not one scalar of the field's default type
+PARSERS = {
+    "perturbations": _parse_perturbations,
+    "observed_dofs": _parse_int_list,
+    "steps_per_temperature": _parse_steps,
+}
+CASTS = {int: int, float: float, str: _parse_word}
+
+
+def _set_fields(parser, section) -> dict:
+    """Field values for the keys that section sets."""
+    cls, keys = SECTIONS[section]
+    defaults = {f.name: f.default for f in fields(cls)}
+    out = {}
+    for key in keys:
+        name = FIELD_OF_KEY.get(key, key)
+        if name in defaults and parser.has_option(section, key):
+            cast = PARSERS.get(key) or CASTS[type(defaults[name])]
+            out[name] = _get(parser, section, key, cast)
+    return out
+
+
+def _build(cls, section, values):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] invalid: {exc}") from exc
+
+
+def _load_structure(parser) -> BeamStructure | None:
+    """The explicit structure of [structure], or None for the H fixture."""
+    kind = _parse_word(parser.get("structure", "kind", fallback="h_fixture"))
+    if kind == "h_fixture":
+        return None
+    if kind != "explicit":
+        raise ConfigError(f"[structure] kind must be h_fixture or explicit, got {kind!r}")
+    if not parser.has_option("structure", "nodes") or \
+            not parser.has_option("structure", "elements"):
+        raise ConfigError("[structure] explicit structures need nodes and elements")
+    constrained = (_get(parser, "structure", "constrained_dofs", _parse_int_list)
+                   if parser.has_option("structure", "constrained_dofs") else ())
+    try:
+        return BeamStructure(
+            nodes=_get(parser, "structure", "nodes", _parse_nodes),
+            elements=_get(parser, "structure", "elements", _parse_elements),
+            constrained_dofs=constrained,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[structure] invalid explicit structure: {exc}") from exc
+
+
 def load_settings(path) -> RunSettings:
     """Parse a config file into run settings.
 
-    Raises ConfigError with section/field diagnostics on any problem.
+    Raises ConfigError with section/field diagnostics on any problem,
+    including a section or key the schema does not have.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -112,106 +197,21 @@ def load_settings(path) -> RunSettings:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from exc
 
+    # configparser copies [DEFAULT] keys into every other section
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in ("structure", "scenario", "cost", "rsm", "ga", "sa"):
+        if section not in SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in SECTIONS[section][1]:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
 
-    g = _get
-    # built stepwise so one bad field reports its own section/key
-    kind = g(parser, "structure", "kind", str, "h_fixture").strip().lower()
-    structure = None
-    spec_kwargs = dict(
-        crossbar_length=g(parser, "structure", "crossbar_length", float, 0.6),
-        left_flange_length=g(parser, "structure", "left_flange_length", float, 0.48),
-        right_flange_length=g(parser, "structure", "right_flange_length", float, 0.5),
-        left_flange_elements=g(parser, "structure", "left_flange_elements", int, 4),
-        right_flange_elements=g(parser, "structure", "right_flange_elements", int, 5),
-        crossbar_elements=g(parser, "structure", "crossbar_elements", int, 3),
-        area=g(parser, "structure", "area", float, 3.0e-4),
-        second_moment=g(parser, "structure", "second_moment", float, 2.5e-9),
-        density=g(parser, "structure", "density", float, 2700.0),
-        nominal_modulus=g(parser, "structure", "nominal_modulus", float, 7.0e10),
-        ground_truth_perturbations=g(parser, "scenario", "perturbations",
-                                     _parse_perturbations,
-                                     ((2, 6.3e10), (3, 6.3e10), (4, 6.3e10))),
-        n_modes=g(parser, "scenario", "n_modes", int, 5),
-        noise_std=g(parser, "scenario", "noise_std", float, 0.0),
-        seed=g(parser, "scenario", "seed", int, 2024),
-        lower_bound=g(parser, "scenario", "lower_bound", float, 6.0e10),
-        upper_bound=g(parser, "scenario", "upper_bound", float, 8.0e10),
-        observed_dofs=g(parser, "scenario", "observed_dofs", _parse_int_list, None),
-        beta=g(parser, "cost", "beta", float, 0.75),
-        gamma_mode=g(parser, "cost", "gamma_mode", str, "absolute").strip().lower(),
-        target_cost=g(parser, "cost", "target_cost", float, 0.0),
-    )
-
-    if kind == "explicit":
-        if not parser.has_option("structure", "nodes") or \
-                not parser.has_option("structure", "elements"):
-            raise ConfigError("[structure] explicit structures need nodes and elements")
-        try:
-            structure = BeamStructure(
-                nodes=g(parser, "structure", "nodes", _parse_nodes, None),
-                elements=g(parser, "structure", "elements", _parse_elements, None),
-                constrained_dofs=g(parser, "structure", "constrained_dofs",
-                                   _parse_int_list, ()),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[structure] invalid explicit structure: {exc}") from exc
-    elif kind != "h_fixture":
-        raise ConfigError(f"[structure] kind must be h_fixture or explicit, got {kind!r}")
-
-    try:
-        spec = ScenarioSpec(**spec_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] invalid: {exc}") from exc
-
-    ga = _load_ga(parser, "ga")
-    try:
-        rsm = RsmConfig(
-            n_samples=g(parser, "rsm", "n_samples", int, 150),
-            max_iterations=g(parser, "rsm", "max_iterations", int, 10),
-            initial_cycles=g(parser, "rsm", "initial_cycles", int, 150),
-            incremental_cycles=g(parser, "rsm", "incremental_cycles", int, 5),
-            m_hidden=g(parser, "rsm", "m_hidden", int, 8),
-            sampler=g(parser, "rsm", "sampler", str, "lhs").strip().lower(),
-            sampler_seed=g(parser, "rsm", "sampler_seed", int, 1),
-            ga=ga,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[rsm] invalid: {exc}") from exc
-
-    steps_raw = g(parser, "sa", "steps_per_temperature", str, "auto").strip().lower()
-    try:
-        steps = None if steps_raw == "auto" else int(steps_raw)
-    except ValueError as exc:
-        raise ConfigError(f"[sa] steps_per_temperature: {steps_raw!r}") from exc
-    try:
-        sa = SaConfig(
-            initial_temperature=g(parser, "sa", "initial_temperature", float, 1.0),
-            cooling_factor=g(parser, "sa", "cooling_factor", float, 0.9),
-            steps_per_temperature=steps,
-            n_runs=g(parser, "sa", "n_runs", int, 3),
-            step_scale=g(parser, "sa", "step_scale", float, 0.1),
-            min_temperature=g(parser, "sa", "min_temperature", float, 1.0e-6),
-            seed=g(parser, "sa", "seed", int, 3),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[sa] invalid: {exc}") from exc
-
+    spec_values = {**_set_fields(parser, "structure"), **_set_fields(parser, "scenario"),
+                   **_set_fields(parser, "cost")}
+    structure = _load_structure(parser)
+    spec = _build(ScenarioSpec, "scenario", spec_values)
+    ga = _build(GaConfig, "ga", _set_fields(parser, "ga"))
+    rsm = _build(RsmConfig, "rsm", {**_set_fields(parser, "rsm"), "ga": ga})
+    sa = _build(SaConfig, "sa", _set_fields(parser, "sa"))
     return RunSettings(spec=spec, structure=structure, rsm=rsm, ga=ga, sa=sa)
-
-
-def _load_ga(parser, section) -> GaConfig:
-    try:
-        return GaConfig(
-            population_size=_get(parser, section, "population_size", int, 50),
-            generations=_get(parser, section, "generations", int, 200),
-            selection_q=_get(parser, section, "selection_q", float, 0.08),
-            mutation_rate=_get(parser, section, "mutation_rate", float, 0.003),
-            crossover_rate=_get(parser, section, "crossover_rate", float, 0.60),
-            mutation_shape_b=_get(parser, section, "mutation_shape_b", float, 2.0),
-            seed=_get(parser, section, "seed", int, 2),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] invalid: {exc}") from exc

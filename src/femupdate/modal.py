@@ -25,6 +25,8 @@ TWO_PI = 2.0 * np.pi
 
 # Eigenvalues this far below the first elastic eigenvalue count as rigid-body.
 RIGID_RATIO = 1e-6
+# Largest accepted |K phi - lambda M phi| / |K phi| of an elastic mode.
+RESIDUAL_TOL = 1e-8
 
 
 class EigenSolveError(RuntimeError):
@@ -132,8 +134,8 @@ class CostWeights:
             raise ValueError("weights must be non-negative")
 
 
-def _count_rigid(eigenvalues: np.ndarray, ratio: float = RIGID_RATIO) -> int:
-    """Number of leading near-zero eigenvalues, split at a gap of `ratio`.
+def _count_rigid(eigenvalues: np.ndarray) -> int:
+    """Number of leading near-zero eigenvalues, split at a gap of RIGID_RATIO.
 
     Scans candidate split points from the most inclusive down, so small
     positive noise eigenvalues of free-free models are still flagged.
@@ -144,14 +146,12 @@ def _count_rigid(eigenvalues: np.ndarray, ratio: float = RIGID_RATIO) -> int:
         lam = eigenvalues[i]
         if lam <= 0.0:
             continue
-        if i == 0 or np.max(np.abs(eigenvalues[:i])) < ratio * lam:
+        if i == 0 or np.max(np.abs(eigenvalues[:i])) < RIGID_RATIO * lam:
             return i
     return 0
 
 
-def solve_modes(matrices: SystemMatrices, n_modes: int,
-                rigid_ratio: float = RIGID_RATIO,
-                residual_tol: float = 1e-8) -> ModalData:
+def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
     """Lowest n_modes eigenpairs of K phi = omega^2 M phi.
 
     With M = L L^T and W = L^-1 (matrices.mass_factor_inv, factored once
@@ -166,7 +166,7 @@ def solve_modes(matrices: SystemMatrices, n_modes: int,
     ------
     EigenSolveError
         If M is not positive definite, the dense solver fails, or any
-        returned elastic mode violates the residual tolerance.
+        returned elastic mode violates RESIDUAL_TOL.
     """
     n = matrices.dof_count
     if not (1 <= n_modes <= n):
@@ -187,7 +187,7 @@ def solve_modes(matrices: SystemMatrices, n_modes: int,
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"dense symmetric eigensolver did not converge: {exc}") from exc
 
-    rigid_count = _count_rigid(lam, rigid_ratio)
+    rigid_count = _count_rigid(lam)
     lam_sel = lam[:n_modes]
     # phi = L^-T y keeps y^T y = 1 equivalent to phi^T M phi = 1
     phi = W.T @ Y[:, :n_modes]
@@ -204,10 +204,10 @@ def solve_modes(matrices: SystemMatrices, n_modes: int,
         k_phi = K @ phi[:, elastic]
         res = k_phi - (M @ phi[:, elastic]) * lam_sel[elastic]
         rel = np.linalg.norm(res, axis=0) / np.linalg.norm(k_phi, axis=0)
-        if np.any(rel > residual_tol):
+        if np.any(rel > RESIDUAL_TOL):
             i = int(np.argmax(rel))
             raise EigenSolveError(
-                f"eigen residual {rel[i]:.3e} exceeds {residual_tol:.1e} "
+                f"eigen residual {rel[i]:.3e} exceeds {RESIDUAL_TOL:.1e} "
                 f"(worst of {int(elastic.sum())} elastic modes)")
 
     return ModalData(

@@ -53,7 +53,7 @@ class GaConfig:
     mutation_rate: float = 0.003   # per-individual
     crossover_rate: float = 0.60   # per-pair
     mutation_shape_b: float = 2.0
-    seed: int = 0
+    seed: int = 2
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -76,7 +76,7 @@ class SaConfig:
     n_runs: int = 3
     step_scale: float = 0.1        # proposal std as a fraction of bound range
     min_temperature: float = 1.0e-6
-    seed: int = 0
+    seed: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.cooling_factor < 1.0:

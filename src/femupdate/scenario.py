@@ -25,6 +25,7 @@ Fixture conventions (the geometry is a convention, not a claim):
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .beam import BeamElement, BeamStructure
 from .modal import CostWeights, ModalData, pair_modes
 from .optimizers import Bounds
 from .updating import UpdatingProblem, compute_gamma_weights, solve_observed
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -174,6 +177,11 @@ def build_scenario(spec: ScenarioSpec,
             translations, np.asarray(structure.constrained_dofs, dtype=int))
     else:
         observed = np.asarray(spec.observed_dofs, dtype=int)
+    if observed.size < spec.n_modes:
+        # fewer coordinates than modes: the measured shapes cannot all be
+        # independent, so MAC pairing may not tell some modes apart
+        log.warning("%d observed DOFs for %d compared modes; MAC pairing may "
+                    "confuse modes", observed.size, spec.n_modes)
 
     elastic = solve_observed(structure, truth, spec.n_modes, observed).elastic()
     if elastic.n_modes < spec.n_modes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class RsmConfig:
     incremental_cycles: int = 5
     m_hidden: int = 8
     ga: GaConfig = field(default_factory=GaConfig)
-    sampler_seed: int = 0
+    sampler_seed: int = 1
     sampler: str = "lhs"  # or "uniform"
 
     def __post_init__(self):
@@ -260,8 +260,9 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
 
     Total FE evaluations are n_samples + (iterations performed). The
     returned parameters are always full-model evaluated. A precomputed
-    (points, costs) design may be passed to warm-start step 1. A
-    non-finite design cost makes surrogate training raise ValueError.
+    (points, costs) design may be passed to warm-start step 1; a point
+    outside problem.bounds raises ValueError, and a non-finite design
+    cost makes surrogate training raise ValueError.
     """
     t0 = time.perf_counter()
     budget = EvalBudget()
@@ -273,6 +274,10 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
         t = np.asarray(t, dtype=float)
         if X.shape != (cfg.n_samples, d) or t.shape != (cfg.n_samples,):
             raise ValueError("initial design shape does not match the configuration")
+        outside = np.any((X < problem.bounds.lower) | (X > problem.bounds.upper), axis=1)
+        if outside.any():
+            raise ValueError(
+                f"initial design row {int(np.argmax(outside))} lies outside the bounds")
         budget.charge(cfg.n_samples)  # design points count as FE evaluations
         X, t = X.copy(), t.copy()
     else:
@@ -315,7 +320,7 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
     report = _build_report(
         problem, "rsm", best_x, best_cost, history, budget, elapsed,
         seeds={"sampler": cfg.sampler_seed, "ga": cfg.ga.seed},
-        config_echo=_echo_rsm(cfg),
+        config_echo=asdict(cfg),
         target_reached=target_reached,
     )
     report.surrogate = net
@@ -329,18 +334,6 @@ def load_design(path) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :-1], rows[:, -1]
 
 
-def _echo_rsm(cfg: RsmConfig) -> dict:
-    echo = {k: getattr(cfg, k) for k in
-            ("n_samples", "max_iterations", "initial_cycles",
-             "incremental_cycles", "m_hidden", "sampler_seed", "sampler")}
-    echo["ga"] = _echo_dataclass(cfg.ga)
-    return echo
-
-
-def _echo_dataclass(cfg) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-
-
 def ga_update(problem: UpdatingProblem, cfg: GaConfig) -> UpdateReport:
     """Genetic algorithm directly on the full FE model."""
     t0 = time.perf_counter()
@@ -350,7 +343,7 @@ def ga_update(problem: UpdatingProblem, cfg: GaConfig) -> UpdateReport:
     return _build_report(
         problem, "ga", res.best_x, res.best_cost, res.history, budget,
         time.perf_counter() - t0, seeds={"ga": cfg.seed},
-        config_echo=_echo_dataclass(cfg), truncated=res.truncated)
+        config_echo=asdict(cfg), truncated=res.truncated)
 
 
 def sa_update(problem: UpdatingProblem, cfg: SaConfig) -> UpdateReport:
@@ -366,4 +359,4 @@ def sa_update(problem: UpdatingProblem, cfg: SaConfig) -> UpdateReport:
     return _build_report(
         problem, "sa", res.best_x, res.best_cost, res.history, budget,
         time.perf_counter() - t0, seeds={"sa": cfg.seed},
-        config_echo=_echo_dataclass(cfg), truncated=res.truncated)
+        config_echo=asdict(cfg), truncated=res.truncated)

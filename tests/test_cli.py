@@ -1,10 +1,19 @@
 """CLI commands: run/sample/modes, file shapes, exit codes, determinism."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from femupdate.cli import main
 from femupdate.config import ConfigError, load_settings
+from femupdate.optimizers import GaConfig, SaConfig
+from femupdate.scenario import ScenarioSpec
+from femupdate.updating import RsmConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_CONFIG = """\
 [scenario]
@@ -57,6 +66,138 @@ def test_load_settings_defaults(tmp_path):
     assert s.ga.population_size == 50
     assert s.sa.n_runs == 3
     assert s.structure is None
+    # the dataclasses hold the only copy of the defaults
+    assert s.spec == ScenarioSpec()
+    assert s.rsm == RsmConfig()
+    assert s.ga == GaConfig() == s.rsm.ga
+    assert s.sa == SaConfig()
+    assert s.all_seeds() == {"scenario": 2024, "sampler": 1, "ga": 2, "sa": 3}
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    documented, empty = tmp_path / "readme.ini", tmp_path / "empty.ini"
+    documented.write_text(block)
+    empty.write_text("")
+    assert load_settings(documented) == load_settings(empty)
+
+
+ALL_KEYS_CONFIG = """\
+[structure]
+crossbar_length = 0.7
+left_flange_length = 0.5
+right_flange_length = 0.45
+left_flange_elements = 3
+right_flange_elements = 4
+crossbar_elements = 2
+area = 2.0e-4
+second_moment = 3.0e-9
+density = 2800
+nominal_modulus = 7.1e10
+
+[scenario]
+perturbations = 1:6.6e10, 2:6.8e10
+n_modes = 4
+noise_std = 0.01
+seed = 9
+lower_bound = 6.5e10
+upper_bound = 7.5e10
+observed_dofs = 0, 2, 4, 6
+
+[cost]
+beta = 0.5
+gamma_mode = Relative
+target_cost = 0.001
+
+[rsm]
+n_samples = 20
+max_iterations = 3
+initial_cycles = 30
+incremental_cycles = 2
+m_hidden = 4
+sampler = uniform
+sampler_seed = 11
+
+[ga]
+population_size = 10
+generations = 5
+selection_q = 0.1
+mutation_rate = 0.01
+crossover_rate = 0.5
+mutation_shape_b = 3.0
+seed = 12
+
+[sa]
+initial_temperature = 2.0
+cooling_factor = 0.8
+steps_per_temperature = 7
+n_runs = 2
+step_scale = 0.2
+min_temperature = 1.0e-4
+seed = 13
+"""
+
+
+def test_load_settings_every_key_lands_on_its_field(tmp_path):
+    path = tmp_path / "all.ini"
+    path.write_text(ALL_KEYS_CONFIG)
+    s = load_settings(path)
+    ga = GaConfig(population_size=10, generations=5, selection_q=0.1,
+                  mutation_rate=0.01, crossover_rate=0.5, mutation_shape_b=3.0,
+                  seed=12)
+    assert s.spec == ScenarioSpec(
+        crossbar_length=0.7, left_flange_length=0.5, right_flange_length=0.45,
+        left_flange_elements=3, right_flange_elements=4, crossbar_elements=2,
+        area=2.0e-4, second_moment=3.0e-9, density=2800.0,
+        nominal_modulus=7.1e10, lower_bound=6.5e10, upper_bound=7.5e10,
+        ground_truth_perturbations=((1, 6.6e10), (2, 6.8e10)),
+        observed_dofs=(0, 2, 4, 6), n_modes=4, noise_std=0.01, beta=0.5,
+        gamma_mode="relative", target_cost=0.001, seed=9)
+    assert s.rsm == RsmConfig(n_samples=20, max_iterations=3, initial_cycles=30,
+                              incremental_cycles=2, m_hidden=4, ga=ga,
+                              sampler_seed=11, sampler="uniform")
+    assert s.ga == ga
+    assert s.sa == SaConfig(initial_temperature=2.0, cooling_factor=0.8,
+                            steps_per_temperature=7, n_runs=2, step_scale=0.2,
+                            min_temperature=1.0e-4, seed=13)
+    # every field was moved off its default, so none can be silently dropped
+    for got, default in ((s.spec, ScenarioSpec()), (s.rsm, RsmConfig()),
+                         (s.ga, GaConfig()), (s.sa, SaConfig())):
+        for f in fields(default):
+            assert getattr(got, f.name) != getattr(default, f.name), f.name
+
+    path.write_text(ALL_KEYS_CONFIG.replace("steps_per_temperature = 7",
+                                            "steps_per_temperature = AUTO"))
+    assert load_settings(path).sa.steps_per_temperature is None
+
+
+@pytest.mark.parametrize("section, key", [
+    ("structure", "crossbar_lenght"),
+    ("scenario", "perturbation"),
+    ("cost", "gama_mode"),
+    ("rsm", "ga"),
+    ("ga", "populaton_size"),
+    ("sa", "n_run"),
+])
+def test_unknown_key_rejected(tmp_path, capsys, section, key):
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    message = f"[{section}] unknown key '{key}'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--method", "ga",
+                 "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_section_rejected(tmp_path):
+    # configparser would copy these keys into every other section
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\nseed = 5\n\n[scenario]\nn_modes = 4\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_settings(path)
 
 
 def test_load_settings_explicit_structure(tmp_path):

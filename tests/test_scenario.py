@@ -156,3 +156,20 @@ def test_short_cantilever_solves_within_reduced_dofs():
     assert problem.n_modes == 3
     np.testing.assert_array_equal(problem.measured.coordinate_map, [2, 4])
     assert full_objective(problem, truth, EvalBudget()) < 1e-10
+
+
+def test_fewer_observed_dofs_than_modes_warns(caplog):
+    from femupdate.beam import BeamElement, BeamStructure
+
+    cantilever = BeamStructure(
+        nodes=np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]),
+        elements=[BeamElement(i, i + 1, 3e-4, 2.5e-9, 2700.0, 7e10) for i in range(2)],
+        constrained_dofs=(0, 1),
+    )
+    spec = ScenarioSpec(ground_truth_perturbations=((1, 6.5e10),), n_modes=3)
+    with caplog.at_level("WARNING", logger="femupdate.scenario"):
+        build_scenario(ScenarioSpec())
+        assert not caplog.records
+        build_scenario(spec, structure=cantilever)
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 observed DOFs for 3 compared modes; MAC pairing may confuse modes"]

@@ -235,6 +235,17 @@ def test_rsm_rejects_design_shape_mismatch(default_problem):
         rsm_update(problem, cfg, initial_design=(np.zeros((3, 12)), np.zeros(3)))
 
 
+def test_rsm_rejects_design_outside_bounds(default_problem):
+    problem, _ = default_problem
+    cfg = small_rsm_config()
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    X0[5, 3] = 1.01 * problem.bounds.upper[3]
+    X0[9, 0] = 0.5 * problem.bounds.lower[0]
+    # the surrogate scales inputs by the bounds; outside points leave [-1, 1]
+    with pytest.raises(ValueError, match="row 5 lies outside the bounds"):
+        rsm_update(problem, cfg, initial_design=(X0, np.ones(cfg.n_samples)))
+
+
 # ---------------------------------------------------------------- GA / SA
 
 

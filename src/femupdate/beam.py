@@ -160,35 +160,45 @@ def element_mass(rho_a: float, length: float) -> np.ndarray:
 def _assembly_blocks(structure: BeamStructure):
     """Moduli-independent assembly data, cached on the structure.
 
-    Returns (mass, unit_stiffness, keep, mass_factor_inv): the reduced
-    global mass matrix, one reduced unit-modulus stiffness block per
-    element (the global stiffness is their moduli-weighted sum), the
-    retained DOF indices, and the inverse Cholesky factor of the mass
-    (None if the mass is not positive definite; solve_modes reports it).
-    Structures are treated as immutable once assembled.
+    Returns (mass, unit_stiffness, entries, keep, mass_factor_inv): the
+    reduced global mass matrix; per element, its unit-modulus stiffness
+    at the flat indices `entries` of the reduced-stiffness entries that
+    any element fills (the global stiffness is the moduli-weighted sum
+    of these rows; dense (n_elements, n, n) blocks would grow with the
+    cube of the mesh); the retained DOF indices; and the inverse Cholesky
+    factor of the mass (None if the mass is not positive definite;
+    solve_modes reports it). Structures are treated as immutable once
+    assembled.
     """
     cached = getattr(structure, "_assembly_cache", None)
     if cached is not None:
         return cached
     n = structure.n_dofs
-    M = np.zeros((n, n))
-    K_unit = np.zeros((structure.n_elements, n, n))
+    ke, me, dofs = [], [], []
     for idx, e in enumerate(structure.elements):
         L = structure.element_length(idx)
-        ke = element_stiffness(e.second_moment, L)  # unit elastic modulus
-        me = element_mass(e.density * e.area, L)
-        dofs = np.array([2 * e.node_a, 2 * e.node_a + 1, 2 * e.node_b, 2 * e.node_b + 1])
-        grid = np.ix_(dofs, dofs)
-        K_unit[idx][grid] += ke
-        M[grid] += me
+        ke.append(element_stiffness(e.second_moment, L))  # unit elastic modulus
+        me.append(element_mass(e.density * e.area, L))
+        dofs.append((2 * e.node_a, 2 * e.node_a + 1, 2 * e.node_b, 2 * e.node_b + 1))
+    ke, me, dofs = np.array(ke), np.array(me), np.array(dofs)
+    M = np.zeros((n, n))
+    np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), me)  # element by element, in order
     keep = np.setdiff1d(np.arange(n), np.array(structure.constrained_dofs, dtype=int))
-    mass = M[np.ix_(keep, keep)].copy()
+    reduced = np.full(n, -1)
+    reduced[keep] = np.arange(keep.size)
+    r = reduced[dofs]
+    filled = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
+    flat = (r[:, :, None] * keep.size + r[:, None, :])[filled]
+    entries = np.unique(flat)
+    k_unit = np.zeros((len(dofs), entries.size))
+    k_unit[np.nonzero(filled)[0], np.searchsorted(entries, flat)] = ke[filled]
+    mass = M[np.ix_(keep, keep)]
     try:
         w = _inverse_cholesky(mass)
         w.flags.writeable = False  # shared by every assembled system
     except np.linalg.LinAlgError:
         w = None
-    cached = (mass, K_unit[:, keep[:, None], keep[None, :]].copy(), keep, w)
+    cached = (mass, k_unit, entries, keep, w)
     structure._assembly_cache = cached
     return cached
 
@@ -218,8 +228,9 @@ def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> Syst
     if np.any(moduli <= 0.0) or not np.all(np.isfinite(moduli)):
         raise ValueError("all moduli must be finite and strictly positive")
 
-    mass, k_unit, keep, w = _assembly_blocks(structure)
-    K = np.tensordot(moduli, k_unit, axes=1)
+    mass, k_unit, entries, keep, w = _assembly_blocks(structure)
+    K = np.zeros(mass.shape)
+    K.flat[entries] = moduli @ k_unit
     matrices = SystemMatrices(mass=mass.copy(), stiffness=K, dof_map=keep.copy())
     if w is not None:
         matrices.mass_factor_inv = w

@@ -123,3 +123,27 @@ def test_constrained_assembly_reduces_dofs():
     sys = assemble(s)
     assert sys.dof_count == 8
     np.testing.assert_array_equal(sys.dof_map, np.arange(2, 10))
+
+
+def test_branched_constrained_assembly_matches_element_sum():
+    # T junction at node 1 (three elements share it), clamped at node 0,
+    # rotation of node 3 also removed
+    nodes = [[0.0, 0.0], [0.3, 0.0], [0.7, 0.0], [0.3, 0.25]]
+    pairs = [(0, 1), (1, 2), (1, 3)]
+    elements = [BeamElement(a, b, 3.0e-4, 2.5e-9, 2700.0, 7.0e10) for a, b in pairs]
+    s = BeamStructure(nodes=nodes, elements=elements, constrained_dofs=(0, 1, 7))
+    moduli = np.array([6.5e10, 7.0e10, 7.5e10])
+    K = np.zeros((8, 8))
+    M = np.zeros((8, 8))
+    for idx, (a, b) in enumerate(pairs):
+        dofs = np.ix_(*2 * [[2 * a, 2 * a + 1, 2 * b, 2 * b + 1]])
+        L = s.element_length(idx)
+        K[dofs] += element_stiffness(moduli[idx] * 2.5e-9, L)
+        M[dofs] += element_mass(2700.0 * 3.0e-4, L)
+    keep = np.ix_(*2 * [[2, 3, 4, 5, 6]])
+    sys = assemble(s, moduli)
+    np.testing.assert_array_equal(sys.dof_map, [2, 3, 4, 5, 6])
+    np.testing.assert_allclose(sys.stiffness, K[keep], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(sys.mass, M[keep], rtol=1e-14, atol=0.0)
+    # DOFs 4, 5 (node 2) and 6 (node 3) are coupled only through node 1
+    assert sys.stiffness[2, 4] == 0.0 and sys.stiffness[3, 4] == 0.0

@@ -17,7 +17,7 @@ from .optimizers import (
     SaConfig, arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
     nonuniform_mutate, sa_optimize,
 )
-from .scenario import ScenarioSpec, build_scenario, ground_truth_moduli, h_beam_structure
+from .scenario import ScenarioSpec, build_scenario, check_scenario, h_beam_structure
 from .surrogate import SurrogateNet, TrainingSet, forward, grad, init_net, loss, train
 from .updating import (
     RsmConfig, UpdateReport, UpdatingProblem, compute_gamma_weights,
@@ -33,7 +33,7 @@ __all__ = [
     "Bounds", "BudgetExhausted", "EvalBudget", "GaConfig", "HistoryRecord",
     "OptimizeResult", "SaConfig", "arithmetic_crossover", "ga_optimize", "geometric_select",
     "metropolis_accept", "nonuniform_mutate", "sa_optimize",
-    "ScenarioSpec", "build_scenario", "ground_truth_moduli", "h_beam_structure",
+    "ScenarioSpec", "build_scenario", "check_scenario", "h_beam_structure",
     "SurrogateNet", "TrainingSet", "forward", "grad", "init_net", "loss", "train",
     "RsmConfig", "UpdateReport", "UpdatingProblem", "compute_gamma_weights",
     "full_objective", "ga_update", "load_design", "rsm_update", "sa_update",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .beam import BeamElement, BeamStructure
 from .optimizers import GaConfig, SaConfig
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, check_scenario, h_beam_structure
 from .updating import RsmConfig
 
 
@@ -56,15 +56,17 @@ def _field_names(cls, *skip) -> tuple:
     return tuple(f.name for f in fields(cls) if f.name not in skip)
 
 
-# section -> (dataclass it fills, its keys); kind, nodes, elements and
-# constrained_dofs fill no field, _load_structure reads them
+# [structure] keys: the H fixture's fill ScenarioSpec fields; the explicit
+# ones fill no field, _load_structure reads them
+H_FIXTURE_KEYS = ("crossbar_length", "left_flange_length", "right_flange_length",
+                  "left_flange_elements", "right_flange_elements",
+                  "crossbar_elements", "area", "second_moment", "density",
+                  "nominal_modulus")
+EXPLICIT_KEYS = ("nodes", "elements", "constrained_dofs")
+
+# section -> (dataclass it fills, its keys)
 SECTIONS = {
-    "structure": (ScenarioSpec, ("crossbar_length", "left_flange_length",
-                                 "right_flange_length", "left_flange_elements",
-                                 "right_flange_elements", "crossbar_elements",
-                                 "area", "second_moment", "density",
-                                 "nominal_modulus", "kind", "nodes", "elements",
-                                 "constrained_dofs")),
+    "structure": (ScenarioSpec, H_FIXTURE_KEYS + EXPLICIT_KEYS),
     "scenario": (ScenarioSpec, ("perturbations", "n_modes", "noise_std", "seed",
                                 "lower_bound", "upper_bound", "observed_dofs")),
     "cost": (ScenarioSpec, ("beta", "gamma_mode", "target_cost")),
@@ -161,12 +163,17 @@ def _build(cls, section, values):
 
 
 def _load_structure(parser) -> BeamStructure | None:
-    """The explicit structure of [structure], or None for the H fixture."""
-    kind = _parse_word(parser.get("structure", "kind", fallback="h_fixture"))
-    if kind == "h_fixture":
+    """The explicit structure of [structure], or None for the H fixture.
+
+    [structure] describes an explicit structure exactly when it sets one
+    of EXPLICIT_KEYS, and then it may set no H-fixture key.
+    """
+    if not any(parser.has_option("structure", key) for key in EXPLICIT_KEYS):
         return None
-    if kind != "explicit":
-        raise ConfigError(f"[structure] kind must be h_fixture or explicit, got {kind!r}")
+    for key in H_FIXTURE_KEYS:
+        if parser.has_option("structure", key):
+            raise ConfigError(f"[structure] {key} describes the H fixture and cannot "
+                              "be combined with nodes, elements or constrained_dofs")
     if not parser.has_option("structure", "nodes") or \
             not parser.has_option("structure", "elements"):
         raise ConfigError("[structure] explicit structures need nodes and elements")
@@ -211,6 +218,10 @@ def load_settings(path) -> RunSettings:
                    **_set_fields(parser, "cost")}
     structure = _load_structure(parser)
     spec = _build(ScenarioSpec, "scenario", spec_values)
+    try:
+        check_scenario(spec, h_beam_structure(spec) if structure is None else structure)
+    except ValueError as exc:
+        raise ConfigError(f"[scenario] does not fit the structure: {exc}") from exc
     ga = _build(GaConfig, "ga", _set_fields(parser, "ga"))
     rsm = _build(RsmConfig, "rsm", {**_set_fields(parser, "rsm"), "ga": ga})
     sa = _build(SaConfig, "sa", _set_fields(parser, "sa"))

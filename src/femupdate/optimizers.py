@@ -190,14 +190,10 @@ def geometric_select(ranked_costs, q: float, rng) -> int:
         raise ValueError("q must lie strictly in (0, 1)")
     if n == 1:
         return 0
-    q_norm = q / (1.0 - (1.0 - q) ** n)
+    # inverse CDF: the smallest r with u < (1 - (1-q)^(r+1)) / (1 - (1-q)^n)
     u = rng.uniform()
-    acc = 0.0
-    for r in range(n):
-        acc += q_norm * (1.0 - q) ** r
-        if u < acc:
-            return r
-    return n - 1
+    r = math.floor(math.log1p(-u * (1.0 - (1.0 - q) ** n)) / math.log1p(-q))
+    return min(r, n - 1)
 
 
 def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bool:

@@ -72,12 +72,7 @@ class ScenarioSpec:
             raise ValueError("each run needs at least one element")
         if not 0.0 < self.lower_bound < self.upper_bound:
             raise ValueError("need 0 < lower_bound < upper_bound")
-        if not self.lower_bound <= self.nominal_modulus <= self.upper_bound:
-            raise ValueError("nominal modulus must lie within the bounds")
-        n_el = self.n_elements
-        for idx, value in self.ground_truth_perturbations:
-            if not 0 <= idx < n_el:
-                raise ValueError(f"perturbation index {idx} out of range")
+        for _, value in self.ground_truth_perturbations:
             if not self.lower_bound <= value <= self.upper_bound:
                 raise ValueError(f"perturbed modulus {value} outside the bounds")
         if self.n_modes < 1:
@@ -86,11 +81,6 @@ class ScenarioSpec:
             raise ValueError("noise_std must be >= 0")
         if self.gamma_mode not in ("relative", "absolute"):
             raise ValueError("gamma_mode must be 'relative' or 'absolute'")
-
-    @property
-    def n_elements(self) -> int:
-        return (self.left_flange_elements + self.right_flange_elements
-                + self.crossbar_elements)
 
 
 def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
@@ -142,34 +132,53 @@ def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
                          elements=beam_elements)
 
 
-def ground_truth_moduli(spec: ScenarioSpec) -> np.ndarray:
-    m = np.full(spec.n_elements, spec.nominal_modulus)
-    for idx, value in spec.ground_truth_perturbations:
-        m[idx] = value
-    return m
+def check_scenario(spec: ScenarioSpec, structure: BeamStructure) -> None:
+    """Raise ValueError unless the spec's inputs fit the structure it updates.
+
+    Every perturbation index must name an element, every initial
+    (stored) element modulus must lie within [lower_bound, upper_bound],
+    and every observed DOF must be an unconstrained DOF of the structure.
+    Cheap: nothing is assembled or solved.
+    """
+    n_el = structure.n_elements
+    for idx, _ in spec.ground_truth_perturbations:
+        if not 0 <= idx < n_el:
+            raise ValueError(f"perturbation index {idx} out of range for "
+                             f"{n_el} elements")
+    moduli = structure.moduli()
+    outside = (moduli < spec.lower_bound) | (moduli > spec.upper_bound)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"initial modulus {moduli[i]:g} of element {i} lies outside "
+                         f"the bounds [{spec.lower_bound:g}, {spec.upper_bound:g}]")
+    constrained = set(structure.constrained_dofs)
+    for dof in spec.observed_dofs or ():
+        if not 0 <= dof < structure.n_dofs:
+            raise ValueError(f"observed DOF {dof} out of range for "
+                             f"{structure.n_dofs} DOFs")
+        if dof in constrained:
+            raise ValueError(f"observed DOF {dof} is constrained")
 
 
 def build_scenario(spec: ScenarioSpec,
                    structure: BeamStructure | None = None) -> tuple[UpdatingProblem, np.ndarray]:
     """Assemble the updating problem and return it with the true moduli.
 
-    The measured ModalData is the ground-truth model's elastic modes
-    restricted to the observed DOFs, optionally polluted with
-    independent Gaussian relative noise. Gamma weights come from the
-    initial (uniform-modulus) model's frequency errors.
-
-    An explicit structure replaces the H fixture; its stored moduli act
-    as the initial model and the perturbations are applied on top.
+    The structure defaults to the H fixture of the spec. Its stored
+    moduli are the initial model, and the true moduli are those with the
+    spec's perturbations applied. The measured ModalData is the
+    ground-truth model's elastic modes restricted to the observed DOFs,
+    optionally polluted with independent Gaussian relative noise. Gamma
+    weights come from the initial model's frequency errors. Inputs that
+    do not fit the structure raise ValueError (check_scenario) before any
+    solve.
     """
     if structure is None:
         structure = h_beam_structure(spec)
-        truth = ground_truth_moduli(spec)
-    else:
-        truth = structure.moduli()
-        for idx, value in spec.ground_truth_perturbations:
-            if not 0 <= idx < structure.n_elements:
-                raise ValueError(f"perturbation index {idx} out of range")
-            truth[idx] = value
+    check_scenario(spec, structure)
+    truth = structure.moduli()
+    for idx, value in spec.ground_truth_perturbations:
+        truth[idx] = value
 
     if spec.observed_dofs is None:
         translations = np.arange(0, structure.n_dofs, 2)

@@ -10,7 +10,7 @@ import pytest
 from femupdate.cli import main
 from femupdate.config import ConfigError, load_settings
 from femupdate.optimizers import GaConfig, SaConfig
-from femupdate.scenario import ScenarioSpec
+from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import RsmConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -204,7 +204,6 @@ def test_load_settings_explicit_structure(tmp_path):
     path = tmp_path / "explicit.ini"
     path.write_text("""\
 [structure]
-kind = explicit
 nodes = 0,0; 0.1,0; 0.2,0; 0.3,0
 elements = 0,1,3e-4,2.5e-9,2700,7e10; 1,2,3e-4,2.5e-9,2700,7e10; 2,3,3e-4,2.5e-9,2700,7e10
 constrained_dofs = 0,1
@@ -217,6 +216,110 @@ n_modes = 2
     assert s.structure is not None
     assert s.structure.n_elements == 3
     assert s.structure.constrained_dofs == (0, 1)
+
+
+def explicit_beam(path, n_elements, modulus="7e10", extra=""):
+    """Config of a straight beam of 0.1-m elements, followed by extra."""
+    nodes = "; ".join(f"{0.1 * i:g},0" for i in range(n_elements + 1))
+    elements = "; ".join(f"{i},{i + 1},3e-4,2.5e-9,2700,{modulus}"
+                         for i in range(n_elements))
+    path.write_text(f"[structure]\nnodes = {nodes}\nelements = {elements}\n{extra}")
+    return path
+
+
+def test_perturbation_index_checked_against_explicit_structure(tmp_path):
+    # index 13 does not fit the 12-element H fixture but fits this beam
+    path = explicit_beam(tmp_path / "beam15.ini", 15,
+                         extra="\n[scenario]\nperturbations = 13:6.5e10\n")
+    s = load_settings(path)
+    problem, truth = build_scenario(s.spec, structure=s.structure)
+    assert problem.n_params == 15
+    assert truth[13] == 6.5e10
+
+
+def test_nodes_and_elements_describe_explicit_structure(tmp_path):
+    path = explicit_beam(tmp_path / "beam3.ini", 3,
+                         extra="\n[scenario]\nperturbations = 1:6.5e10\nn_modes = 2\n")
+    assert load_settings(path).structure.n_elements == 3
+    out = tmp_path / "modes.txt"
+    assert main(["modes", "--config", str(path), "--out", str(out)]) == 0
+    initial = out.read_text().split("[initial]")[1].split("[ground_truth]")[0]
+    rows = initial.split("shape rows:")[1].splitlines()[1:]
+    assert [r.split(",")[0] for r in rows if r] == ["0", "2", "4", "6"]
+
+
+def test_default_perturbations_outside_short_cantilever_exit_2(tmp_path, capsys):
+    # the default perturbations 2, 3, 4 name elements a 2-element beam lacks
+    path = explicit_beam(tmp_path / "cantilever.ini", 2,
+                         extra="constrained_dofs = 0,1\n\n[scenario]\nn_modes = 3\n")
+    with pytest.raises(ConfigError, match="perturbation index 2 out of range"):
+        load_settings(path)
+    assert main(["modes", "--config", str(path)]) == 2
+    assert "perturbation index 2 out of range" in capsys.readouterr().err
+
+
+def test_initial_moduli_outside_bounds_exit_2(tmp_path, capsys):
+    steel = explicit_beam(tmp_path / "steel.ini", 3, modulus="2e11",
+                          extra="\n[scenario]\nperturbations = 1:7e10\nn_modes = 2\n")
+    message = "initial modulus 2e+11 of element 0 lies outside the bounds [6e+10, 8e+10]"
+    for method in ("sa", "ga"):
+        out = tmp_path / method
+        assert main(["run", "--config", str(steel), "--method", method,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="outside the bounds"):
+        build_scenario(ScenarioSpec(nominal_modulus=9e10))
+    # bounds around the beam's own modulus fit it
+    explicit_beam(steel, 3, modulus="2e11", extra="""
+[scenario]
+perturbations = 1:1.9e11
+n_modes = 2
+lower_bound = 1.8e11
+upper_bound = 2.2e11
+""")
+    s = load_settings(steel)
+    problem, truth = build_scenario(s.spec, structure=s.structure)
+    np.testing.assert_array_equal(truth, [2e11, 1.9e11, 2e11])
+
+
+@pytest.mark.parametrize("structure, observed, message", [
+    ("", "0,2,4,6,8,100", "observed DOF 100 out of range for 26 DOFs"),
+    ("cantilever", "0,2,4", "observed DOF 0 is constrained"),
+])
+def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
+                                               observed, message):
+    scenario = f"[scenario]\nobserved_dofs = {observed}\n"
+    path = tmp_path / "observed.ini"
+    if structure:
+        explicit_beam(path, 2, extra="constrained_dofs = 0,1\n\n"
+                      f"{scenario}perturbations = 1:6.5e10\nn_modes = 1\n")
+    else:
+        path.write_text(scenario)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--method", "ga",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_h_fixture_key_with_explicit_structure_exit_2(tmp_path, capsys):
+    path = explicit_beam(tmp_path / "mixed.ini", 3, extra="area = 2e-4\n")
+    message = "[structure] area describes the H fixture"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(path)
+    assert main(["modes", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_kind_key_rejected(tmp_path, capsys):
+    path = explicit_beam(tmp_path / "kind.ini", 3, extra="kind = explicit\n")
+    with pytest.raises(ConfigError, match=re.escape("[structure] unknown key 'kind'")):
+        load_settings(path)
+    assert main(["modes", "--config", str(path)]) == 2
+    assert "unknown key 'kind'" in capsys.readouterr().err
 
 
 def test_load_settings_bad_field(tmp_path):
@@ -376,7 +479,6 @@ def test_modes_short_constrained_structure(tmp_path, capsys):
     path = tmp_path / "cantilever.ini"
     path.write_text("""\
 [structure]
-kind = explicit
 nodes = 0,0; 0.1,0; 0.2,0
 elements = 0,1,3e-4,2.5e-9,2700,7e10; 1,2,3e-4,2.5e-9,2700,7e10
 constrained_dofs = 0,1

@@ -1,5 +1,9 @@
 """Full-model objective, design sampling and the three updating loops."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -277,3 +281,20 @@ def test_report_errors_recomputable(default_problem):
     np.testing.assert_allclose(errors, report.updated_errors_pct, atol=1e-9)
     errors0 = 100.0 * (report.initial_hz - report.measured_hz) / report.measured_hz
     np.testing.assert_allclose(errors0, report.initial_errors_pct, atol=1e-9)
+
+
+def test_package_runs_without_scipy():
+    # numpy and scipy each load their own OpenBLAS thread pool; an FE
+    # evaluation must wake only numpy's
+    code = """
+import sys
+import femupdate as fu
+problem, _ = fu.build_scenario(fu.ScenarioSpec())
+fu.full_objective(problem, problem.initial_parameters(), fu.EvalBudget())
+fu.ga_update(problem, fu.GaConfig(population_size=10, generations=2))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=src, check=True)
+    assert done.stdout.strip() == "[]"

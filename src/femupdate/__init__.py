@@ -9,8 +9,7 @@ and simulated annealing on the full model.
 
 from .beam import BeamElement, BeamStructure, SystemMatrices, assemble
 from .modal import (
-    CostWeights, EigenSolveError, ModalData, cost, frf_inertance, mac,
-    pair_modes, solve_modes,
+    CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, solve_modes,
 )
 from .optimizers import (
     Bounds, BudgetExhausted, EvalBudget, GaConfig, HistoryRecord, OptimizeResult,
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamElement", "BeamStructure", "SystemMatrices", "assemble",
-    "CostWeights", "EigenSolveError", "ModalData", "cost", "frf_inertance",
-    "mac", "pair_modes", "solve_modes",
+    "CostWeights", "EigenSolveError", "ModalData", "cost", "mac", "pair_modes",
+    "solve_modes",
     "Bounds", "BudgetExhausted", "EvalBudget", "GaConfig", "HistoryRecord",
     "OptimizeResult", "SaConfig", "arithmetic_crossover", "ga_optimize", "geometric_select",
     "metropolis_accept", "nonuniform_mutate", "sa_optimize",

@@ -34,6 +34,13 @@ log = logging.getLogger(__name__)
 METHODS = ("rsm", "ga", "sa")
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="femupdate",
@@ -45,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the INI config")
     run_p.add_argument("--method", default="all", choices=(*METHODS, "all"))
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=_seed, default=None,
                        help="global seed overriding all configured seeds")
 
     sample_p = sub.add_parser("sample", help="write the design points and costs")

@@ -1,7 +1,6 @@
 """Modal solution, mode correlation and the modal-distance cost function.
 
-The generalized eigenproblem K phi = omega^2 M phi is solved undamped:
-damping enters only as per-mode ratios used by the FRF synthesis.
+The generalized eigenproblem K phi = omega^2 M phi is solved undamped.
 The mass does not depend on the moduli, so its Cholesky factor is
 computed once per structure (see beam.SystemMatrices.mass_factor_inv).
 Each solve then runs on numpy's LAPACK alone, the BLAS build and thread
@@ -12,7 +11,6 @@ would bring a second thread pool, and the two spin against each other.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +43,6 @@ class ModalData:
         One column per mode; rows follow coordinate_map.
     coordinate_map : (n_coords,) int array
         Global DOF index of each mode-shape row.
-    damping_ratios : (n_modes,) array, optional
-        Per-mode damping ratios, default all zero.
     rigid : (n_modes,) bool array, optional
         Flags rigid-body modes, default all False.
     """
@@ -54,7 +50,6 @@ class ModalData:
     frequencies: np.ndarray
     mode_shapes: np.ndarray
     coordinate_map: np.ndarray
-    damping_ratios: np.ndarray = field(default=None)
     rigid: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -64,9 +59,6 @@ class ModalData:
             self.mode_shapes = self.mode_shapes[:, None]
         self.coordinate_map = np.atleast_1d(np.asarray(self.coordinate_map, dtype=int))
         n = self.n_modes
-        if self.damping_ratios is None:
-            self.damping_ratios = np.zeros(n)
-        self.damping_ratios = np.atleast_1d(np.asarray(self.damping_ratios, dtype=float))
         if self.rigid is None:
             self.rigid = np.zeros(n, dtype=bool)
         self.rigid = np.atleast_1d(np.asarray(self.rigid, dtype=bool))
@@ -78,8 +70,6 @@ class ModalData:
             raise ValueError("mode-shape column count must equal frequency count")
         if self.mode_shapes.shape[0] != self.coordinate_map.size:
             raise ValueError("mode-shape row count must match coordinate_map")
-        if self.damping_ratios.size != n or np.any(self.damping_ratios < 0.0):
-            raise ValueError("need one non-negative damping ratio per mode")
         if self.rigid.size != n:
             raise ValueError("need one rigid flag per mode")
 
@@ -98,7 +88,6 @@ class ModalData:
             frequencies=self.frequencies[idx],
             mode_shapes=self.mode_shapes[:, idx],
             coordinate_map=self.coordinate_map.copy(),
-            damping_ratios=self.damping_ratios[idx],
             rigid=self.rigid[idx],
         )
 
@@ -116,7 +105,6 @@ class ModalData:
             frequencies=self.frequencies.copy(),
             mode_shapes=self.mode_shapes[pos, :],
             coordinate_map=dofs.copy(),
-            damping_ratios=self.damping_ratios.copy(),
             rigid=self.rigid.copy(),
         )
 
@@ -297,30 +285,3 @@ def pair_modes(calc: ModalData, measured: ModalData) -> np.ndarray:
         if m[i, j] < 0.5:
             log.warning("measured mode %d paired with MAC %.3f < 0.5", j, m[i, j])
     return pairing
-
-
-def frf_inertance(modal: ModalData, k: int, l: int, freq_grid: np.ndarray) -> np.ndarray:
-    """Inertance FRF H_kl(omega) by modal summation.
-
-    H_kl(w) = sum_i -w^2 phi_k^i phi_l^i / (w_i^2 - w^2 + 2j zeta_i w_i w)
-
-    Grid points landing exactly on an undamped resonance are singular;
-    they are returned as NaN and reported through a warning.
-    """
-    n_coords = modal.mode_shapes.shape[0]
-    if not (0 <= k < n_coords and 0 <= l < n_coords):
-        raise ValueError("excitation/response coordinates out of range")
-    w = np.atleast_1d(np.asarray(freq_grid, dtype=float))
-    wi = modal.frequencies[:, None]
-    zi = modal.damping_ratios[:, None]
-    num = -w[None, :]**2 * (modal.mode_shapes[k, :] * modal.mode_shapes[l, :])[:, None]
-    den = wi**2 - w[None, :]**2 + 2j * zi * wi * w[None, :]
-    singular = den == 0.0
-    if np.any(singular):
-        pts = w[np.any(singular, axis=0)]
-        warnings.warn(
-            f"FRF grid hits {pts.size} undamped resonance point(s), e.g. "
-            f"omega = {pts[0]:.6g} rad/s; returned as NaN", RuntimeWarning)
-        den = np.where(singular, np.nan, den)
-    with np.errstate(invalid="ignore"):
-        return np.sum(num / den, axis=0)

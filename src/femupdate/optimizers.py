@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +65,8 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.selection_q < 1.0:
             raise ValueError("selection_q must lie strictly in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -89,6 +90,8 @@ class SaConfig:
             raise ValueError("temperatures must be positive")
         if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
             raise ValueError("steps_per_temperature must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class BudgetExhausted(RuntimeError):
@@ -96,12 +99,11 @@ class BudgetExhausted(RuntimeError):
 
 
 class EvalBudget:
-    """Thread-safe running count of objective evaluations, with optional cap."""
+    """Running count of objective evaluations, with optional cap; not thread-safe."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self._calls = 0
-        self._lock = threading.Lock()
 
     @property
     def calls(self) -> int:
@@ -109,15 +111,13 @@ class EvalBudget:
 
     def consume(self):
         """Reserve one evaluation; raises BudgetExhausted if the cap is reached."""
-        with self._lock:
-            if self.limit is not None and self._calls >= self.limit:
-                raise BudgetExhausted(f"FE evaluation budget of {self.limit} exhausted")
-            self._calls += 1
+        if self.limit is not None and self._calls >= self.limit:
+            raise BudgetExhausted(f"FE evaluation budget of {self.limit} exhausted")
+        self._calls += 1
 
     def charge(self, n: int):
         """Account for n evaluations performed elsewhere (e.g. a loaded design)."""
-        with self._lock:
-            self._calls += n
+        self._calls += n
 
 
 @dataclass

@@ -72,15 +72,14 @@ class ScenarioSpec:
             raise ValueError("each run needs at least one element")
         if not 0.0 < self.lower_bound < self.upper_bound:
             raise ValueError("need 0 < lower_bound < upper_bound")
-        for _, value in self.ground_truth_perturbations:
-            if not self.lower_bound <= value <= self.upper_bound:
-                raise ValueError(f"perturbed modulus {value} outside the bounds")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
         if self.gamma_mode not in ("relative", "absolute"):
             raise ValueError("gamma_mode must be 'relative' or 'absolute'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
@@ -135,29 +134,42 @@ def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
 def check_scenario(spec: ScenarioSpec, structure: BeamStructure) -> None:
     """Raise ValueError unless the spec's inputs fit the structure it updates.
 
-    Every perturbation index must name an element, every initial
-    (stored) element modulus must lie within [lower_bound, upper_bound],
-    and every observed DOF must be an unconstrained DOF of the structure.
-    Cheap: nothing is assembled or solved.
+    Every perturbation must name a distinct element and give a modulus
+    within [lower_bound, upper_bound], every initial (stored) element
+    modulus must lie within those bounds too, and observed_dofs, when
+    given, must list distinct unconstrained DOFs of the structure, at
+    least one. Cheap: nothing is assembled or solved.
     """
     n_el = structure.n_elements
-    for idx, _ in spec.ground_truth_perturbations:
+    perturbed = set()
+    for idx, value in spec.ground_truth_perturbations:
         if not 0 <= idx < n_el:
             raise ValueError(f"perturbation index {idx} out of range for "
                              f"{n_el} elements")
+        if idx in perturbed:
+            raise ValueError(f"perturbation index {idx} repeated")
+        perturbed.add(idx)
+        if not spec.lower_bound <= value <= spec.upper_bound:
+            raise ValueError(f"perturbed modulus {value} outside the bounds")
     moduli = structure.moduli()
     outside = (moduli < spec.lower_bound) | (moduli > spec.upper_bound)
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"initial modulus {moduli[i]:g} of element {i} lies outside "
                          f"the bounds [{spec.lower_bound:g}, {spec.upper_bound:g}]")
+    if spec.observed_dofs is not None and not spec.observed_dofs:
+        raise ValueError("observed_dofs is empty")
     constrained = set(structure.constrained_dofs)
+    observed = set()
     for dof in spec.observed_dofs or ():
         if not 0 <= dof < structure.n_dofs:
             raise ValueError(f"observed DOF {dof} out of range for "
                              f"{structure.n_dofs} DOFs")
         if dof in constrained:
             raise ValueError(f"observed DOF {dof} is constrained")
+        if dof in observed:
+            raise ValueError(f"observed DOF {dof} repeated")
+        observed.add(dof)
 
 
 def build_scenario(spec: ScenarioSpec,
@@ -204,8 +216,7 @@ def build_scenario(spec: ScenarioSpec,
             1.0 + spec.noise_std * rng.standard_normal(measured.mode_shapes.shape))
         order = np.argsort(freqs)
         measured = ModalData(frequencies=freqs[order], mode_shapes=shapes[:, order],
-                             coordinate_map=measured.coordinate_map,
-                             damping_ratios=measured.damping_ratios[order])
+                             coordinate_map=measured.coordinate_map)
 
     initial_modes = solve_observed(structure, None, spec.n_modes, observed)
     pairing = pair_modes(initial_modes, measured)

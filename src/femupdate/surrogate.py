@@ -49,7 +49,7 @@ class SurrogateNet:
 
     @property
     def d_in(self) -> int:
-        return self.in_center.size if self.in_center.ndim else 1
+        return self.in_center.size
 
     @property
     def m_hidden(self) -> int:
@@ -61,9 +61,6 @@ class SurrogateNet:
 
     def scale_inputs(self, x: np.ndarray) -> np.ndarray:
         return (x - self.in_center) / self.in_half
-
-    def unscale_inputs(self, x_scaled: np.ndarray) -> np.ndarray:
-        return x_scaled * self.in_half + self.in_center
 
     def flat_weights(self) -> np.ndarray:
         """All weights as one vector: w1 rows first, then w2."""
@@ -141,22 +138,16 @@ def grad(net: SurrogateNet, data: TrainingSet) -> np.ndarray:
 
 
 def init_net(d_in: int, m_hidden: int, bounds, seed: int,
-             target_center: float = 0.0, target_scale: float = 1.0,
-             planned_samples: int | None = None) -> SurrogateNet:
+             target_center: float = 0.0, target_scale: float = 1.0) -> SurrogateNet:
     """Small random net with input scaling derived from parameter bounds.
 
     Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]. `bounds` is
-    anything with lower/upper arrays. When planned_samples is given, the
-    total weight count must stay below it.
+    anything with lower/upper arrays.
     """
     lower = np.asarray(bounds.lower, dtype=float)
     upper = np.asarray(bounds.upper, dtype=float)
     if lower.size != d_in:
         raise ValueError("bounds dimension must equal d_in")
-    n_weights = m_hidden * (d_in + 1) + m_hidden + 1
-    if planned_samples is not None and n_weights >= planned_samples:
-        raise ValueError(
-            f"{n_weights} weights need more than {planned_samples} training samples")
     rng = np.random.default_rng(seed)
     a1 = 1.0 / np.sqrt(d_in + 1)
     a2 = 1.0 / np.sqrt(m_hidden + 1)

@@ -85,6 +85,8 @@ class RsmConfig:
             raise ValueError("training cycle counts must be >= 1")
         if self.sampler not in ("lhs", "uniform"):
             raise ValueError("sampler must be 'lhs' or 'uniform'")
+        if self.sampler_seed < 0:
+            raise ValueError("sampler_seed must be >= 0")
 
 
 @dataclass
@@ -161,7 +163,7 @@ def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
 
 
 def compute_gamma_weights(initial: ModalData, measured: ModalData,
-                          mode: str = "relative") -> np.ndarray:
+                          mode: str) -> np.ndarray:
     """Per-mode frequency weights from the initial model's errors.
 
     mode="relative": gamma_i = ((w_i^m - w_i^0) / w_i^m)^2, dimensionless.
@@ -181,8 +183,8 @@ def compute_gamma_weights(initial: ModalData, measured: ModalData,
     raise ValueError("mode must be 'relative' or 'absolute'")
 
 
-def sample_design(bounds: Bounds, n: int, seed: int, method: str = "lhs") -> np.ndarray:
-    """n design points in the box; Latin hypercube by default.
+def sample_design(bounds: Bounds, n: int, seed: int, method: str) -> np.ndarray:
+    """n design points in the box, by method "lhs" (Latin hypercube) or "uniform".
 
     LHS places exactly one point per 1/n stratum in every coordinate.
     """
@@ -288,8 +290,7 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
 
     center, scale = target_scaling(t)
     net = init_net(d, cfg.m_hidden, problem.bounds, seed=cfg.sampler_seed,
-                   target_center=center, target_scale=scale,
-                   planned_samples=cfg.n_samples)
+                   target_center=center, target_scale=scale)
 
     history: list[HistoryRecord] = []
     target_reached = False

@@ -286,6 +286,8 @@ upper_bound = 2.2e11
 @pytest.mark.parametrize("structure, observed, message", [
     ("", "0,2,4,6,8,100", "observed DOF 100 out of range for 26 DOFs"),
     ("cantilever", "0,2,4", "observed DOF 0 is constrained"),
+    ("", "0,0,2,4,6,8", "observed DOF 0 repeated"),
+    ("", "", "observed_dofs is empty"),
 ])
 def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
                                                observed, message):
@@ -302,6 +304,32 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     assert main(["run", "--config", str(path), "--method", "ga",
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, setting, message", [
+    ("scenario", "perturbations = 2:6.3e10, 2:7.5e10", "perturbation index 2 repeated"),
+    ("scenario", "seed = -5", "[scenario] invalid: seed must be >= 0"),
+    ("rsm", "sampler_seed = -5", "[rsm] invalid: sampler_seed must be >= 0"),
+    ("ga", "seed = -5", "[ga] invalid: seed must be >= 0"),
+    ("sa", "seed = -5", "[sa] invalid: seed must be >= 0"),
+])
+def test_invalid_run_setting_exit_2(tmp_path, capsys, section, setting, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{setting}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(path)
+    assert main(["modes", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exit_2(small_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(small_config), "--method", "rsm",
+              "--out", str(out), "--seed", "-4"])
+    assert exc.value.code == 2
+    assert "seed must be >= 0, got -4" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Eigensolver oracle checks, MAC, cost, mode pairing and FRF synthesis."""
+"""Eigensolver oracle checks, MAC, cost and mode pairing."""
 
 from dataclasses import replace
 
@@ -7,8 +7,7 @@ import pytest
 
 from femupdate.beam import SystemMatrices, assemble
 from femupdate.modal import (
-    CostWeights, EigenSolveError, ModalData, cost, frf_inertance, mac,
-    pair_modes, solve_modes,
+    CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, solve_modes,
 )
 from femupdate.optimizers import EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario, h_beam_structure
@@ -272,39 +271,3 @@ def test_pair_modes_insufficient_elastic():
     meas = modal_from([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="elastic"):
         pair_modes(d, meas)
-
-
-# ---------------------------------------------------------------- FRF
-
-
-def test_frf_zero_at_zero_frequency():
-    d = modal_from([1.0, 3.0], np.array([[1.0, 0.5], [0.2, -1.0]]))
-    h = frf_inertance(d, 0, 1, np.array([0.0]))
-    assert h[0] == 0.0
-
-
-def test_frf_single_mode_hand_value():
-    d = modal_from([1.0], [1.0, 1.0])
-    h = frf_inertance(d, 0, 1, np.array([np.sqrt(2.0)]))
-    # -omega^2 / (1 - omega^2) = -2 / -1 = 2
-    assert h[0] == pytest.approx(2.0 + 0.0j)
-
-
-def test_frf_peak_near_resonance():
-    d = ModalData(frequencies=np.array([10.0]),
-                  mode_shapes=np.array([[1.0], [0.8]]),
-                  coordinate_map=np.arange(2),
-                  damping_ratios=np.array([0.01]))
-    grid = np.linspace(5.0, 15.0, 4001)
-    h = np.abs(frf_inertance(d, 0, 0, grid))
-    w_peak = grid[np.argmax(h)]
-    assert abs(w_peak - 10.0) / 10.0 < 0.02
-    assert np.all(np.isfinite(h))
-
-
-def test_frf_singular_point_reported():
-    d = modal_from([2.0], [1.0, 1.0])
-    with pytest.warns(RuntimeWarning, match="resonance"):
-        h = frf_inertance(d, 0, 0, np.array([1.0, 2.0, 3.0]))
-    assert np.isnan(h[1])
-    assert np.isfinite(h[0]) and np.isfinite(h[2])

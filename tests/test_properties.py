@@ -1,0 +1,105 @@
+"""Property tests: MAC range and scale invariance, cost sign, pairing validity.
+
+Examples are derandomized and no example database is kept, so every run
+checks the same inputs and writes nothing to the working tree.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from femupdate.modal import CostWeights, ModalData, cost, mac, pair_modes
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=75)
+
+ENTRIES = st.floats(-10.0, 10.0)
+FACTORS = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+def shape_sets(n_coords, n_modes):
+    """Mode-shape matrices whose columns all have a norm above 1e-3."""
+    return arrays(float, (n_coords, n_modes), elements=ENTRIES).filter(
+        lambda a: np.all(np.linalg.norm(a, axis=0) > 1e-3))
+
+
+def frequency_sets(n_modes):
+    return arrays(float, n_modes, elements=st.floats(0.1, 1e3)).map(np.sort)
+
+
+@st.composite
+def mac_inputs(draw):
+    n_coords = draw(st.integers(1, 6))
+    a = draw(shape_sets(n_coords, draw(st.integers(1, 4))))
+    b = draw(shape_sets(n_coords, draw(st.integers(1, 4))))
+    return a, b
+
+
+@st.composite
+def paired_sets(draw):
+    n_coords = draw(st.integers(1, 6))
+    n_modes = draw(st.integers(1, 4))
+
+    def modal():
+        return ModalData(frequencies=draw(frequency_sets(n_modes)),
+                         mode_shapes=draw(shape_sets(n_coords, n_modes)),
+                         coordinate_map=np.arange(n_coords))
+
+    weights = CostWeights(gamma=draw(arrays(float, n_modes, elements=st.floats(0.0, 10.0))),
+                          beta=draw(st.floats(0.0, 10.0)))
+    return modal(), modal(), weights
+
+
+@st.composite
+def pairing_inputs(draw):
+    n_coords = draw(st.integers(1, 6))
+    n_measured = draw(st.integers(1, 4))
+    rigid = np.array(draw(st.lists(st.booleans(), max_size=4)) + [False] * n_measured)
+    rigid = rigid[draw(st.permutations(range(rigid.size)))]
+    calc = ModalData(frequencies=draw(frequency_sets(rigid.size)),
+                     mode_shapes=draw(shape_sets(n_coords, rigid.size)),
+                     coordinate_map=np.arange(n_coords), rigid=rigid)
+    measured = ModalData(frequencies=draw(frequency_sets(n_measured)),
+                         mode_shapes=draw(shape_sets(n_coords, n_measured)),
+                         coordinate_map=np.arange(n_coords))
+    return calc, measured
+
+
+@PROPERTY
+@given(mac_inputs())
+def test_mac_entries_lie_in_unit_interval(shapes):
+    m = mac(*shapes)
+    assert np.all(m >= -1e-12) and np.all(m <= 1.0 + 1e-12)
+
+
+@PROPERTY
+@given(mac_inputs(), st.booleans(), st.integers(0, 3), FACTORS)
+def test_mac_invariant_to_column_scaling(shapes, scale_a, column, factor):
+    a, b = (s.copy() for s in shapes)
+    target = a if scale_a else b
+    target[:, column % target.shape[1]] *= factor
+    np.testing.assert_allclose(mac(a, b), mac(*shapes), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(paired_sets())
+def test_cost_zero_for_identical_data(sets):
+    d, _, weights = sets
+    # 1 - MAC_ii of a set with itself rounds to at most a few ulps above 0
+    assert 0.0 <= cost(d, d, weights) <= 1e-12
+
+
+@PROPERTY
+@given(paired_sets())
+def test_cost_nonnegative(sets):
+    calc, measured, weights = sets
+    assert cost(calc, measured, weights) >= 0.0
+
+
+@PROPERTY
+@given(pairing_inputs())
+def test_pairing_picks_distinct_elastic_modes(inputs):
+    calc, measured = inputs
+    pairing = pair_modes(calc, measured)
+    assert pairing.size == measured.n_modes
+    assert np.unique(pairing).size == pairing.size
+    assert not calc.rigid[pairing].any()

@@ -108,7 +108,7 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="out of range"):
         build_scenario(ScenarioSpec(ground_truth_perturbations=((40, 6.3e10),)))
     with pytest.raises(ValueError, match="bounds"):
-        ScenarioSpec(ground_truth_perturbations=((2, 5.0e10),))
+        build_scenario(ScenarioSpec(ground_truth_perturbations=((2, 5.0e10),)))
     with pytest.raises(ValueError):
         ScenarioSpec(left_flange_elements=0)
     with pytest.raises(ValueError):

@@ -115,14 +115,14 @@ def test_gamma_zero_when_initial_matches_measured():
     shapes = np.eye(3)
     a = ModalData(frequencies=[1.0, 2.0, 3.0], mode_shapes=shapes,
                   coordinate_map=np.arange(3))
-    np.testing.assert_array_equal(compute_gamma_weights(a, a), np.zeros(3))
+    np.testing.assert_array_equal(compute_gamma_weights(a, a, mode="relative"), np.zeros(3))
 
 
 def test_gamma_hand_value():
     shapes = np.ones((2, 1))
     init = ModalData(frequencies=[90.0], mode_shapes=shapes, coordinate_map=[0, 1])
     meas = ModalData(frequencies=[100.0], mode_shapes=shapes, coordinate_map=[0, 1])
-    np.testing.assert_allclose(compute_gamma_weights(init, meas), [0.01])
+    np.testing.assert_allclose(compute_gamma_weights(init, meas, mode="relative"), [0.01])
 
 
 def test_gamma_largest_for_largest_mismatch():
@@ -131,7 +131,7 @@ def test_gamma_largest_for_largest_mismatch():
                      coordinate_map=np.arange(3))
     meas = ModalData(frequencies=[100.0, 200.0, 300.0], mode_shapes=shapes,
                      coordinate_map=np.arange(3))
-    g = compute_gamma_weights(init, meas)
+    g = compute_gamma_weights(init, meas, mode="relative")
     assert np.argmax(g) == 1  # 10% error beats 5% and 3.3%
 
 
@@ -140,7 +140,7 @@ def test_gamma_largest_for_largest_mismatch():
 
 def test_sample_design_single_point():
     b = Bounds(lower=np.array([1.0, -1.0]), upper=np.array([2.0, 1.0]))
-    x = sample_design(b, 1, seed=0)
+    x = sample_design(b, 1, seed=0, method="lhs")
     assert x.shape == (1, 2)
     assert b.contains(x[0])
 
@@ -148,7 +148,7 @@ def test_sample_design_single_point():
 def test_sample_design_lhs_stratification():
     b = Bounds(lower=np.full(12, 6.0e10), upper=np.full(12, 8.0e10))
     n = 150
-    X = sample_design(b, n, seed=1)
+    X = sample_design(b, n, seed=1, method="lhs")
     assert X.shape == (n, 12)
     for j in range(12):
         strata = np.floor((X[:, j] - 6.0e10) / (2.0e10 / n)).astype(int)
@@ -157,10 +157,10 @@ def test_sample_design_lhs_stratification():
 
 def test_sample_design_deterministic():
     b = Bounds(lower=np.zeros(3), upper=np.ones(3))
-    np.testing.assert_array_equal(sample_design(b, 20, seed=9),
-                                  sample_design(b, 20, seed=9))
-    assert not np.array_equal(sample_design(b, 20, seed=9),
-                              sample_design(b, 20, seed=10))
+    np.testing.assert_array_equal(sample_design(b, 20, seed=9, method="lhs"),
+                                  sample_design(b, 20, seed=9, method="lhs"))
+    assert not np.array_equal(sample_design(b, 20, seed=9, method="lhs"),
+                              sample_design(b, 20, seed=10, method="lhs"))
 
 
 def test_sample_design_uniform_mode():
@@ -194,7 +194,7 @@ def test_rsm_runs_all_iterations_with_zero_target(default_problem):
 def test_rsm_replace_worst_keeps_design_size(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
     t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
     report = rsm_update(problem, cfg, initial_design=(X0, t0))
     X1, t1 = report.design
@@ -224,12 +224,19 @@ def test_rsm_deterministic(default_problem):
 def test_rsm_nonfinite_design_cost_raises(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
     t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
     t0[7] = np.inf
     # surrogate training rejects the design instead of ending the loop silently
     with pytest.raises(ValueError, match="finite"):
         rsm_update(problem, cfg, initial_design=(X0, t0))
+
+
+def test_rsm_rejects_oversized_net(default_problem):
+    problem, _ = default_problem
+    # 20 hidden units on 12 inputs make 281 weights for 40 design points
+    with pytest.raises(ValueError, match="weights"):
+        rsm_update(problem, small_rsm_config(m_hidden=20))
 
 
 def test_rsm_rejects_design_shape_mismatch(default_problem):
@@ -242,7 +249,7 @@ def test_rsm_rejects_design_shape_mismatch(default_problem):
 def test_rsm_rejects_design_outside_bounds(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
     X0[5, 3] = 1.01 * problem.bounds.upper[3]
     X0[9, 0] = 0.5 * problem.bounds.lower[0]
     # the surrogate scales inputs by the bounds; outside points leave [-1, 1]

@@ -14,7 +14,7 @@ from .modal import (
 from .optimizers import (
     Bounds, BudgetExhausted, EvalBudget, GaConfig, HistoryRecord, OptimizeResult,
     SaConfig, arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
-    nonuniform_mutate, sa_optimize,
+    nonuniform_mutate, row_by_row, sa_optimize,
 )
 from .scenario import ScenarioSpec, build_scenario, check_scenario, h_beam_structure
 from .surrogate import SurrogateNet, TrainingSet, forward, grad, init_net, loss, train
@@ -31,7 +31,7 @@ __all__ = [
     "solve_modes",
     "Bounds", "BudgetExhausted", "EvalBudget", "GaConfig", "HistoryRecord",
     "OptimizeResult", "SaConfig", "arithmetic_crossover", "ga_optimize", "geometric_select",
-    "metropolis_accept", "nonuniform_mutate", "sa_optimize",
+    "metropolis_accept", "nonuniform_mutate", "row_by_row", "sa_optimize",
     "ScenarioSpec", "build_scenario", "check_scenario", "h_beam_structure",
     "SurrogateNet", "TrainingSet", "forward", "grad", "init_net", "loss", "train",
     "RsmConfig", "UpdateReport", "UpdatingProblem", "compute_gamma_weights",

@@ -213,19 +213,22 @@ def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
     the correlation coefficient of Allemang & Brown (1982). Entries lie
     in [0, 1] and are invariant to per-column scaling of either input.
     """
-    A = np.asarray(shapes_a, dtype=float)
-    B = np.asarray(shapes_b, dtype=float)
+    # Norms and cross products come from one summation form on one memory
+    # layout, so they round alike: a set against itself gives MAC_ii == 1
+    # exactly (a sum against a matmul, or C- against F-order, does not).
+    A = np.ascontiguousarray(shapes_a, dtype=float)
+    B = np.ascontiguousarray(shapes_b, dtype=float)
     if A.ndim == 1:
         A = A[:, None]
     if B.ndim == 1:
         B = B[:, None]
     if A.shape[0] != B.shape[0]:
         raise ValueError("mode-shape sets must share observed coordinates")
-    na = np.sum(A * A, axis=0)
-    nb = np.sum(B * B, axis=0)
+    na = np.einsum("ki,ki->i", A, A)
+    nb = np.einsum("ki,ki->i", B, B)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ValueError("zero-norm mode shape")
-    cross = A.T @ B
+    cross = np.einsum("ki,kj->ij", A, B)
     return cross**2 / np.outer(na, nb)
 
 

@@ -1,9 +1,12 @@
 """Box-constrained optimizers: real-coded GA and simulated annealing.
 
-Both work on bounded parameter vectors against a pluggable scalar
-objective, stop early when the objective raises BudgetExhausted, and
-are bit-deterministic per seed. Every candidate handed to the
-objective lies inside the bounds.
+Both work on bounded parameter vectors, stop early when the objective
+raises BudgetExhausted, and are bit-deterministic per seed. The GA takes
+a batch objective, which maps a (P, d) population to (P,) costs and is
+called once per generation; row_by_row lifts a scalar objective to one.
+SA takes a scalar objective f(x) -> float, since its chain is
+sequential. Every candidate handed to an objective lies inside the
+bounds.
 """
 
 from __future__ import annotations
@@ -95,7 +98,35 @@ class SaConfig:
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised by EvalBudget.consume once its cap is reached."""
+    """Raised by EvalBudget.consume once its cap is reached.
+
+    paid holds the costs a batch objective computed before the cap was
+    hit, in row order (see row_by_row); it is empty otherwise.
+    """
+
+    def __init__(self, message: str = "", paid=()):
+        super().__init__(message)
+        self.paid = np.asarray(paid, dtype=float)
+
+
+def row_by_row(objective):
+    """Lift a scalar objective f(x) -> float to a batch one f(X) -> (P,).
+
+    Rows are evaluated in order, one objective call each. When a call
+    raises BudgetExhausted, it is re-raised carrying the costs of the
+    rows before it.
+    """
+
+    def batch(X: np.ndarray) -> np.ndarray:
+        paid = []
+        for x in X:
+            try:
+                paid.append(float(objective(x)))
+            except BudgetExhausted as exc:
+                raise BudgetExhausted(str(exc), paid) from exc
+        return np.array(paid)
+
+    return batch
 
 
 class EvalBudget:
@@ -122,7 +153,11 @@ class EvalBudget:
 
 @dataclass
 class HistoryRecord:
-    """One optimizer progress row for reporting."""
+    """One optimizer progress row for reporting.
+
+    RSM rows also carry the surrogate's predicted cost at the re-anchored
+    point and that point's full-model cost.
+    """
 
     step: int
     best_cost: float
@@ -130,6 +165,8 @@ class HistoryRecord:
     evaluations: int
     temperature: float | None = None
     run: int | None = None
+    predicted_cost: float | None = None
+    full_cost: float | None = None
 
 
 @dataclass
@@ -150,6 +187,13 @@ def arithmetic_crossover(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarra
     if p1.shape != p2.shape:
         raise ValueError("parents must have equal length")
     a = rng.uniform()
+    c1, c2 = _crossover(p1[None], p2[None], np.array([a]))
+    return c1[0], c2[0]
+
+
+def _crossover(p1: np.ndarray, p2: np.ndarray, a: np.ndarray):
+    """Row-wise arithmetic crossover of (k, d) parents with (k,) weights a."""
+    a = a[:, None]
     return a * p1 + (1.0 - a) * p2, (1.0 - a) * p1 + a * p2
 
 
@@ -163,17 +207,27 @@ def nonuniform_mutate(x: np.ndarray, t: int, t_max: int, bounds: Bounds,
     """
     if t > t_max:
         raise ValueError("generation exceeds maximum generation")
-    out = x.copy()
     i = int(rng.integers(x.size))
     toward_upper = rng.uniform() < 0.5
     r = rng.uniform()
-    expo = (1.0 - t / t_max) ** b
-    if toward_upper:
-        y = bounds.upper[i] - x[i]
-        out[i] = x[i] + y * (1.0 - r**expo)
-    else:
-        y = x[i] - bounds.lower[i]
-        out[i] = x[i] - y * (1.0 - r**expo)
+    return _mutate(x[None], np.array([i]), np.array([toward_upper]), np.array([r]),
+                   (1.0 - t / t_max) ** b, bounds)[0]
+
+
+def _mutate(X: np.ndarray, i: np.ndarray, toward_upper: np.ndarray, r: np.ndarray,
+            expo: float, bounds: Bounds) -> np.ndarray:
+    """Non-uniform mutation of coordinate i[k] of each row X[k], on a copy.
+
+    Row k moves toward its upper bound where toward_upper[k], else toward
+    its lower bound, by the distance to that bound times 1 - r[k]^expo.
+    """
+    out = X.copy()
+    rows = np.arange(X.shape[0])
+    xi = X[rows, i]
+    step = 1.0 - r**expo
+    out[rows, i] = np.where(toward_upper,
+                            xi + (bounds.upper[i] - xi) * step,
+                            xi - (xi - bounds.lower[i]) * step)
     return out
 
 
@@ -190,10 +244,16 @@ def geometric_select(ranked_costs, q: float, rng) -> int:
         raise ValueError("q must lie strictly in (0, 1)")
     if n == 1:
         return 0
-    # inverse CDF: the smallest r with u < (1 - (1-q)^(r+1)) / (1 - (1-q)^n)
-    u = rng.uniform()
-    r = math.floor(math.log1p(-u * (1.0 - (1.0 - q) ** n)) / math.log1p(-q))
-    return min(r, n - 1)
+    return int(_geometric_ranks(np.array([rng.uniform()]), q, n)[0])
+
+
+def _geometric_ranks(u: np.ndarray, q: float, n: int) -> np.ndarray:
+    """Ranks in [0, n) for uniform draws u, by the geometric inverse CDF.
+
+    The rank is the smallest r with u < (1 - (1-q)^(r+1)) / (1 - (1-q)^n).
+    """
+    r = np.floor(np.log1p(-u * (1.0 - (1.0 - q) ** n)) / math.log1p(-q))
+    return np.minimum(r, n - 1).astype(int)
 
 
 def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bool:
@@ -210,19 +270,20 @@ def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bo
 def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     """Real-coded genetic algorithm over a box.
 
-    The full population is evaluated every generation (the carried-over
-    elite included), so the total number of objective calls is exactly
-    population_size * generations unless the objective raises
-    BudgetExhausted, which truncates the run; the candidates of the cut
-    generation evaluated before that still count toward the best and
-    get one history row. History rows carry
-    per-generation best/mean cost and cumulative evaluations; the
-    best-ever individual is returned.
+    objective maps a (population_size, d) array to (population_size,)
+    costs; it is called once per generation with the whole population,
+    the carried-over elite included, so the run costs exactly
+    population_size * generations evaluations. Any other return shape
+    raises ValueError. An objective raising BudgetExhausted truncates the
+    run; the costs it carries (the evaluated prefix of the population, as
+    row_by_row records it) still count toward the best and get one
+    history row. History rows carry per-generation best/mean cost and
+    cumulative evaluations; the best-ever individual is returned.
     """
     rng = np.random.default_rng(cfg.seed)
-    d = bounds.dim
+    size, d = cfg.population_size, bounds.dim
 
-    pop = rng.uniform(bounds.lower, bounds.upper, (cfg.population_size, d))
+    pop = rng.uniform(bounds.lower, bounds.upper, (size, d))
     best_x = pop[0].copy()
     best_cost = math.inf
     history: list[HistoryRecord] = []
@@ -230,17 +291,19 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     truncated = False
 
     for gen in range(1, cfg.generations + 1):
-        paid = []
         try:
-            for x in pop:
-                paid.append(float(objective(x)))
-        except BudgetExhausted:
+            costs = np.asarray(objective(pop), dtype=float)
+        except BudgetExhausted as exc:
             truncated = True
+            costs = exc.paid
             log.warning("GA stopped by evaluation budget at generation %d", gen)
-        if not paid:
+        else:
+            if costs.shape != (size,):
+                raise ValueError(f"objective returned costs of shape {costs.shape} "
+                                 f"for a population of {size}")
+        if costs.size == 0:
             break
         # a truncated generation still reports the prefix it paid for
-        costs = np.array(paid)
         evaluations += costs.size
         gen_best = int(np.argmin(costs))
         if costs[gen_best] < best_cost:
@@ -259,25 +322,37 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
 
 
 def _next_generation(pop, costs, best_x, gen, cfg: GaConfig, bounds: Bounds, rng):
-    order = np.argsort(costs, kind="stable")
-    ranked = pop[order]
-    ranked_costs = costs[order]
-    new = [best_x.copy()]  # elitism of 1: incumbent best survives unmodified
-    while len(new) < cfg.population_size:
-        i1 = geometric_select(ranked_costs, cfg.selection_q, rng)
-        i2 = geometric_select(ranked_costs, cfg.selection_q, rng)
-        if rng.uniform() < cfg.crossover_rate:
-            c1, c2 = arithmetic_crossover(ranked[i1], ranked[i2], rng)
-        else:
-            c1, c2 = ranked[i1].copy(), ranked[i2].copy()
-        for child in (c1, c2):
-            if len(new) >= cfg.population_size:
-                break
-            if rng.uniform() < cfg.mutation_rate:
-                child = nonuniform_mutate(child, gen, cfg.generations, bounds,
-                                          cfg.mutation_shape_b, rng)
-            new.append(child)
-    return np.array(new)
+    """The next population: the incumbent best, then P - 1 bred children.
+
+    Children come from P // 2 parent pairs chosen by geometric rank
+    selection; pair k gives children 2k and 2k + 1, and the last child
+    is dropped when P - 1 is odd. Draws are made as arrays, in this
+    order: selection uniforms (pairs, 2); crossover gate uniforms
+    (pairs,); one crossover weight per gated pair; mutation gate
+    uniforms (P - 1,); then, per mutated child, the coordinate
+    (integers), the direction uniform and the step uniform.
+    """
+    size, d = pop.shape
+    ranked = pop[np.argsort(costs, kind="stable")]
+    pairs = size // 2
+
+    ranks = _geometric_ranks(rng.uniform(size=(pairs, 2)), cfg.selection_q, size)
+    c1, c2 = ranked[ranks[:, 0]], ranked[ranks[:, 1]]
+    crossed = rng.uniform(size=pairs) < cfg.crossover_rate
+    c1[crossed], c2[crossed] = _crossover(c1[crossed], c2[crossed],
+                                          rng.uniform(size=int(crossed.sum())))
+    children = np.stack([c1, c2], axis=1).reshape(-1, d)[:size - 1]
+
+    mutated = rng.uniform(size=size - 1) < cfg.mutation_rate
+    m = int(mutated.sum())
+    if m:
+        i = rng.integers(d, size=m)
+        toward_upper = rng.uniform(size=m) < 0.5
+        r = rng.uniform(size=m)
+        expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
+        children[mutated] = _mutate(children[mutated], i, toward_upper, r, expo, bounds)
+    # elitism of 1: the incumbent best survives unmodified
+    return np.vstack([best_x, children])
 
 
 def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,

@@ -111,15 +111,22 @@ def write_report(report: UpdateReport, path):
 
 
 def write_history(history, path):
-    """One row per optimizer step: cost progress, evaluations, temperature."""
+    """One row per optimizer step: cost progress, evaluations, temperature.
+
+    RSM rows add the surrogate's prediction at the re-anchored point and
+    its full-model cost; fields a method does not record are left blank.
+    """
+    def opt(value):
+        return "" if value is None else fmt(value)
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,best_cost,mean_cost,evaluations,temperature,run\n")
+        fh.write("step,best_cost,mean_cost,evaluations,temperature,run,"
+                 "predicted_cost,full_cost\n")
         for h in history:
             fh.write(",".join([
                 str(h.step), fmt(h.best_cost), fmt(h.mean_cost),
-                str(h.evaluations),
-                "" if h.temperature is None else fmt(h.temperature),
-                "" if h.run is None else str(h.run),
+                str(h.evaluations), opt(h.temperature), opt(h.run),
+                opt(h.predicted_cost), opt(h.full_cost),
             ]) + "\n")
 
 

@@ -20,7 +20,7 @@ from .beam import BeamStructure, assemble
 from .modal import CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, solve_modes
 from .optimizers import (
     Bounds, EvalBudget, GaConfig, HistoryRecord, SaConfig, ga_optimize,
-    sa_optimize,
+    row_by_row, sa_optimize,
 )
 from .surrogate import SurrogateNet, TrainingSet, forward, init_net, target_scaling, train
 
@@ -254,8 +254,10 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
        full model.
     2. Fit the MLP surrogate to (point, cost) pairs: initialized once,
        then warm-started with incremental_cycles per refinement.
-    3. Run the GA on the surrogate prediction.
-    4. Evaluate the GA optimum on the full model (one FE evaluation).
+    3. Run the GA on the surrogate prediction, one batch forward pass
+       per generation.
+    4. Evaluate the GA optimum on the full model (one FE evaluation);
+       the history row records its predicted and full-model cost.
     5. If the cost still exceeds target_cost and iterations remain,
        replace the worst sample with the new pair and repeat from 2.
 
@@ -298,13 +300,15 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
         cycles = cfg.initial_cycles if it == 1 else cfg.incremental_cycles
         net = train(net, TrainingSet(inputs=X, targets=t), cycles)
         inner_cfg = replace(cfg.ga, seed=cfg.ga.seed + it)
-        inner = ga_optimize(lambda x: forward(net, x), problem.bounds, inner_cfg)
+        inner = ga_optimize(lambda X: forward(net, X), problem.bounds, inner_cfg)
         c_full = full_objective(problem, inner.best_x, budget)
         if c_full < best_cost:
             best_cost, best_x = c_full, inner.best_x.copy()
         history.append(HistoryRecord(step=it, best_cost=best_cost,
                                      mean_cost=float(np.mean(t)),
-                                     evaluations=budget.calls))
+                                     evaluations=budget.calls,
+                                     predicted_cost=inner.best_cost,
+                                     full_cost=c_full))
         if c_full <= problem.target_cost:
             target_reached = True
             break
@@ -335,10 +339,10 @@ def load_design(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ga_update(problem: UpdatingProblem, cfg: GaConfig) -> UpdateReport:
-    """Genetic algorithm directly on the full FE model."""
+    """Genetic algorithm directly on the full FE model, one FE evaluation per row."""
     t0 = time.perf_counter()
     budget = EvalBudget()
-    res = ga_optimize(lambda x: full_objective(problem, x, budget),
+    res = ga_optimize(row_by_row(lambda x: full_objective(problem, x, budget)),
                       problem.bounds, cfg)
     return _build_report(
         problem, "ga", res.best_x, res.best_cost, res.history, budget,

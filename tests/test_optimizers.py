@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from femupdate.optimizers import (
-    Bounds, EvalBudget, GaConfig, SaConfig, arithmetic_crossover,
+    Bounds, EvalBudget, GaConfig, SaConfig, _next_generation, arithmetic_crossover,
     ga_optimize, geometric_select, metropolis_accept, nonuniform_mutate,
-    sa_optimize,
+    row_by_row, sa_optimize,
 )
 
 
@@ -182,18 +182,18 @@ def test_ga_sphere_convergence():
     target = np.full(5, 0.3)
     obj = lambda x: float(np.sum((x - target) ** 2))
     for seed in (0, 42):
-        res = ga_optimize(obj, unit_box(5), GaConfig(mutation_rate=0.1, seed=seed))
+        res = ga_optimize(row_by_row(obj), unit_box(5), GaConfig(mutation_rate=0.1, seed=seed))
         assert res.best_cost < 1e-3
 
 
 def test_ga_one_dimensional_minimum():
     obj = lambda x: float((x[0] - 0.5) ** 2)
-    res = ga_optimize(obj, unit_box(1), GaConfig(seed=1))
+    res = ga_optimize(row_by_row(obj), unit_box(1), GaConfig(seed=1))
     assert abs(res.best_x[0] - 0.5) < 0.01
 
 
 def test_ga_constant_objective():
-    res = ga_optimize(lambda x: 7.25, unit_box(3),
+    res = ga_optimize(row_by_row(lambda x: 7.25), unit_box(3),
                       GaConfig(population_size=10, generations=5, seed=2))
     assert res.best_cost == 7.25
     assert unit_box(3).contains(res.best_x)
@@ -203,7 +203,7 @@ def test_ga_counts_evaluations_exactly():
     budget = EvalBudget()
     obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
     cfg = GaConfig(population_size=12, generations=9, seed=3)
-    res = ga_optimize(obj, unit_box(4), cfg)
+    res = ga_optimize(row_by_row(obj), unit_box(4), cfg)
     assert budget.calls == obj.calls == 12 * 9
     assert res.history[-1].evaluations == 12 * 9
 
@@ -216,14 +216,14 @@ def test_ga_candidates_stay_in_bounds():
         seen.append(x.copy())
         return float(np.sum(x**2))
 
-    ga_optimize(obj, b, GaConfig(population_size=15, generations=20,
-                                 mutation_rate=0.5, seed=4))
+    ga_optimize(row_by_row(obj), b, GaConfig(population_size=15, generations=20,
+                                             mutation_rate=0.5, seed=4))
     assert all(b.contains(x) for x in seen)
 
 
 def test_ga_best_history_non_increasing():
     obj = lambda x: float(np.sum((x - 0.2) ** 2))
-    res = ga_optimize(obj, unit_box(3),
+    res = ga_optimize(row_by_row(obj), unit_box(3),
                       GaConfig(population_size=10, generations=30, seed=5))
     bests = [h.best_cost for h in res.history]
     assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -232,8 +232,8 @@ def test_ga_best_history_non_increasing():
 def test_ga_deterministic_per_seed():
     obj = lambda x: float(np.sum(np.sin(5 * x) + x**2))
     cfg = GaConfig(population_size=8, generations=15, seed=99)
-    r1 = ga_optimize(obj, unit_box(3), cfg)
-    r2 = ga_optimize(obj, unit_box(3), cfg)
+    r1 = ga_optimize(row_by_row(obj), unit_box(3), cfg)
+    r2 = ga_optimize(row_by_row(obj), unit_box(3), cfg)
     np.testing.assert_array_equal(r1.best_x, r2.best_x)
     assert r1.best_cost == r2.best_cost
     assert [h.best_cost for h in r1.history] == [h.best_cost for h in r2.history]
@@ -242,11 +242,94 @@ def test_ga_deterministic_per_seed():
 def test_ga_budget_truncation():
     budget = EvalBudget(limit=25)
     obj = CountingObjective(lambda x: float(np.sum(x**2)), budget)
-    res = ga_optimize(obj, unit_box(2),
+    res = ga_optimize(row_by_row(obj), unit_box(2),
                       GaConfig(population_size=10, generations=10, seed=6))
     assert res.truncated
     assert budget.calls == 25 == obj.calls
     assert np.isfinite(res.best_cost)
+
+
+class Draws:
+    """rng stub replaying preset uniform() and integers() values in order."""
+
+    def __init__(self, uniforms, integers=()):
+        self._uniforms = iter(uniforms)
+        self._integers = iter(integers)
+
+    def uniform(self):
+        return float(next(self._uniforms))
+
+    def integers(self, n):
+        return int(next(self._integers))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vector_generation_matches_scalar_operators(seed):
+    # oracle: the scalar operators, fed the vector generation's draws in
+    # its documented order, breed bit-identical children
+    size, gen = 11, 7
+    cfg = GaConfig(population_size=size, generations=20, mutation_rate=0.4, seed=0)
+    b = Bounds(lower=np.array([-1.0, 0.0, 2.0]), upper=np.array([1.0, 5.0, 3.0]))
+    setup = np.random.default_rng(100 + seed)
+    pop = setup.uniform(b.lower, b.upper, (size, b.dim))
+    costs = setup.uniform(size=size)
+    best_x = pop[np.argmin(costs)].copy()
+    new = _next_generation(pop, costs, best_x, gen, cfg, b, np.random.default_rng(seed))
+
+    rng = np.random.default_rng(seed)
+    pairs = size // 2
+    order = np.argsort(costs, kind="stable")
+    ranked, ranked_costs = pop[order], costs[order]
+    u_select = rng.uniform(size=(pairs, 2))
+    crossed = rng.uniform(size=pairs) < cfg.crossover_rate
+    weights = iter(rng.uniform(size=int(crossed.sum())))
+    children = []
+    for k in range(pairs):
+        i1, i2 = (geometric_select(ranked_costs, cfg.selection_q, Draws([u]))
+                  for u in u_select[k])
+        if crossed[k]:
+            children += arithmetic_crossover(ranked[i1], ranked[i2], Draws([next(weights)]))
+        else:
+            children += [ranked[i1], ranked[i2]]
+    children = children[:size - 1]
+    mutated = np.flatnonzero(rng.uniform(size=size - 1) < cfg.mutation_rate)
+    coords = rng.integers(b.dim, size=mutated.size)
+    directions = rng.uniform(size=mutated.size)
+    steps = rng.uniform(size=mutated.size)
+    for j, k in enumerate(mutated):
+        children[k] = nonuniform_mutate(children[k], gen, cfg.generations, b,
+                                        cfg.mutation_shape_b,
+                                        Draws([directions[j], steps[j]], [coords[j]]))
+    assert crossed.any() and not crossed.all() and mutated.size > 0
+    np.testing.assert_array_equal(new, np.vstack([best_x, *children]))
+
+
+def test_ga_evaluates_each_generation_in_one_batch():
+    b = Bounds(lower=np.array([-1.0, 2.0]), upper=np.array([1.0, 5.0]))
+    cfg = GaConfig(population_size=9, generations=12, mutation_rate=0.5, seed=7)
+    seen = []
+
+    def objective(X):
+        seen.append((X.copy(), np.sum(X**2, axis=1)))
+        return seen[-1][1]
+
+    res = ga_optimize(objective, b, cfg)
+    assert len(seen) == cfg.generations
+    assert all(X.shape == (9, 2) and all(b.contains(x) for x in X) for X, _ in seen)
+    # row 0 of every later generation is the best row evaluated so far
+    for g in range(1, len(seen)):
+        X = np.vstack([x for x, _ in seen[:g]])
+        c = np.concatenate([c for _, c in seen[:g]])
+        np.testing.assert_array_equal(seen[g][0][0], X[np.argmin(c)])
+    assert res.history[-1].evaluations == 9 * 12
+
+
+@pytest.mark.parametrize("returned", [np.zeros(8), np.zeros(10), np.zeros((9, 1)),
+                                      np.float64(1.0)])
+def test_ga_rejects_wrong_cost_shape(returned):
+    with pytest.raises(ValueError, match="shape"):
+        ga_optimize(lambda X: returned, unit_box(2),
+                    GaConfig(population_size=9, generations=3, seed=0))
 
 
 def test_ga_config_validation():

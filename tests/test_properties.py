@@ -84,8 +84,7 @@ def test_mac_invariant_to_column_scaling(shapes, scale_a, column, factor):
 @given(paired_sets())
 def test_cost_zero_for_identical_data(sets):
     d, _, weights = sets
-    # 1 - MAC_ii of a set with itself rounds to at most a few ulps above 0
-    assert 0.0 <= cost(d, d, weights) <= 1e-12
+    assert cost(d, d, weights) == 0.0
 
 
 @PROPERTY

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from femupdate.optimizers import (
-    Bounds, BudgetExhausted, EvalBudget, GaConfig, SaConfig, ga_optimize, sa_optimize,
+    Bounds, BudgetExhausted, EvalBudget, GaConfig, SaConfig, ga_optimize, row_by_row,
+    sa_optimize,
 )
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import (
@@ -72,7 +73,10 @@ def test_capped_objective_truncates_optimizer(default_problem, optimize, cfg):
     # the objective's budget is the only counter: its cap ends the run
     problem, _ = default_problem
     budget = EvalBudget(limit=25)
-    res = optimize(lambda x: full_objective(problem, x, budget), problem.bounds, cfg)
+    objective = lambda x: full_objective(problem, x, budget)
+    if optimize is ga_optimize:  # the GA takes a batch objective
+        objective = row_by_row(objective)
+    res = optimize(objective, problem.bounds, cfg)
     assert res.truncated
     assert budget.calls == 25
     assert np.isfinite(res.best_cost)
@@ -88,7 +92,7 @@ def test_ga_truncated_mid_generation_keeps_paid_costs(default_problem):
         paid.append((x.copy(), c))
         return c
 
-    res = ga_optimize(objective, problem.bounds,
+    res = ga_optimize(row_by_row(objective), problem.bounds,
                       GaConfig(population_size=10, generations=5, seed=1))
     assert res.truncated
     assert budget.calls == len(paid) == 5

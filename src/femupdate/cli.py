@@ -122,7 +122,7 @@ def cmd_sample(args) -> int:
     settings = _load(args.config)
     problem, _ = build_scenario(settings.spec, structure=settings.structure)
     cfg = settings.rsm
-    X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
+    X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     budget = EvalBudget()
     costs = np.array([full_objective(problem, x, budget) for x in X])
     out = Path(args.out)

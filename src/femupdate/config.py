@@ -69,7 +69,7 @@ SECTIONS = {
     "structure": (ScenarioSpec, H_FIXTURE_KEYS + EXPLICIT_KEYS),
     "scenario": (ScenarioSpec, ("perturbations", "n_modes", "noise_std", "seed",
                                 "lower_bound", "upper_bound", "observed_dofs")),
-    "cost": (ScenarioSpec, ("beta", "gamma_mode", "target_cost")),
+    "cost": (ScenarioSpec, ("beta", "target_cost")),
     "rsm": (RsmConfig, _field_names(RsmConfig, "ga")),  # the inner GA is [ga]
     "ga": (GaConfig, _field_names(GaConfig)),
     "sa": (SaConfig, _field_names(SaConfig)),
@@ -106,10 +106,6 @@ def _parse_steps(raw: str) -> int | None:
     return None if raw.strip().lower() == "auto" else int(raw)
 
 
-def _parse_word(raw: str) -> str:
-    return raw.strip().lower()
-
-
 def _parse_nodes(raw: str) -> np.ndarray:
     rows = []
     for chunk in raw.split(";"):
@@ -139,7 +135,7 @@ PARSERS = {
     "observed_dofs": _parse_int_list,
     "steps_per_temperature": _parse_steps,
 }
-CASTS = {int: int, float: float, str: _parse_word}
+CASTS = {int: int, float: float}
 
 
 def _set_fields(parser, section) -> dict:

@@ -233,24 +233,26 @@ def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
 
 
 def cost(calc: ModalData, measured: ModalData, weights: CostWeights,
-         pairing: np.ndarray | None = None) -> float:
+         pairing: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Modal-distance error between paired calculated and measured modes.
 
     E = sum_i gamma_i ((w_i^m - w_i^calc) / w_i^m)^2
-        + beta * sum_i (1 - diag(MAC)_i)
+        + beta * sum_i (1 - MAC_i)
 
     Without a pairing, calc and measured are compared mode-for-mode and
-    must have equal mode counts. A pairing (one calc column index per
-    measured mode, e.g. from pair_modes) selects calc modes instead; it
-    may reorder modes, as happens when mode crossings swap the spectrum.
+    must have equal mode counts. A pairing is what pair_modes returns:
+    one calc column index per measured mode, which may reorder modes as
+    mode crossings swap the spectrum, and the MAC of each chosen pair,
+    which the cost then uses instead of building the MAC matrix again.
     """
     if pairing is None:
         if calc.n_modes != measured.n_modes:
             raise ValueError("mode counts must match (pair modes first)")
-        pairing = np.arange(measured.n_modes)
+        idx, paired_mac = np.arange(measured.n_modes), None
     else:
-        pairing = np.asarray(pairing, dtype=int)
-        if pairing.size != measured.n_modes:
+        idx, paired_mac = pairing
+        idx = np.asarray(idx, dtype=int)
+        if idx.size != measured.n_modes:
             raise ValueError("need one paired calc mode per measured mode")
     if calc.mode_shapes.shape[0] != measured.mode_shapes.shape[0]:
         raise ValueError("mode shapes must share observed coordinates")
@@ -258,19 +260,21 @@ def cost(calc: ModalData, measured: ModalData, weights: CostWeights,
         raise ValueError("need one gamma weight per mode")
     if np.any(measured.frequencies == 0.0):
         raise ValueError("measured frequencies must be non-zero")
-    rel = (measured.frequencies - calc.frequencies[pairing]) / measured.frequencies
+    if paired_mac is None:
+        paired_mac = np.diag(mac(calc.mode_shapes, measured.mode_shapes))
+    rel = (measured.frequencies - calc.frequencies[idx]) / measured.frequencies
     # MAC lies in [0, 1]; clipping keeps roundoff from making the cost negative
-    mac_diag = np.clip(np.diag(mac(calc.mode_shapes[:, pairing], measured.mode_shapes)),
-                       0.0, 1.0)
-    return float(np.sum(weights.gamma * rel**2) + weights.beta * np.sum(1.0 - mac_diag))
+    paired_mac = np.clip(paired_mac, 0.0, 1.0)
+    return float(np.sum(weights.gamma * rel**2) + weights.beta * np.sum(1.0 - paired_mac))
 
 
-def pair_modes(calc: ModalData, measured: ModalData) -> np.ndarray:
+def pair_modes(calc: ModalData, measured: ModalData) -> tuple[np.ndarray, np.ndarray]:
     """Greedy MAC-maximizing assignment of calculated modes to measured ones.
 
     Each measured mode, in order, takes the unused calculated elastic mode
     with the highest MAC. Rigid-body modes never participate. Returns the
-    selected calc-mode indices, one per measured mode.
+    selected calc-mode indices, one per measured mode, and the MAC of
+    each selected pair, both taken from one MAC matrix.
     """
     elastic_idx = np.flatnonzero(~calc.rigid)
     if elastic_idx.size < measured.n_modes:
@@ -279,12 +283,12 @@ def pair_modes(calc: ModalData, measured: ModalData) -> np.ndarray:
             f"{measured.n_modes} measured modes")
     m = mac(calc.mode_shapes[:, elastic_idx], measured.mode_shapes)
     used = np.zeros(elastic_idx.size, dtype=bool)
-    pairing = np.empty(measured.n_modes, dtype=int)
+    chosen = np.empty(measured.n_modes, dtype=int)
     for j in range(measured.n_modes):
         col = np.where(used, -1.0, m[:, j])
         i = int(np.argmax(col))
         used[i] = True
-        pairing[j] = elastic_idx[i]
+        chosen[j] = i
         if m[i, j] < 0.5:
             log.warning("measured mode %d paired with MAC %.3f < 0.5", j, m[i, j])
-    return pairing
+    return elastic_idx[chosen], m[chosen, np.arange(measured.n_modes)]

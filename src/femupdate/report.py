@@ -54,6 +54,10 @@ def render_report(report: UpdateReport) -> str:
         "[result]",
         f"initial_cost: {fmt(report.initial_cost)}",
         f"final_cost: {fmt(report.final_cost)}",
+    ]
+    if report.design_best_cost is not None:
+        lines.append(f"design_best_cost: {fmt(report.design_best_cost)}")
+    lines += [
         f"fe_evaluations: {report.fe_evaluations}",
         f"mean_abs_initial_error_pct: {fmt(report.mean_abs_initial_error_pct)}",
         f"mean_abs_updated_error_pct: {fmt(report.mean_abs_updated_error_pct)}",

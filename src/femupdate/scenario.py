@@ -18,9 +18,9 @@ Fixture conventions (the geometry is a convention, not a claim):
 - junction nodes share both nodal DOFs between runs, so the model is an
   abstract branched bending network whose geometry enters through
   element lengths (see beam module);
-- gamma frequency weights default to the absolute (Hz^2) reading so the
-  cost's frequency term is not fourth-order small next to the
-  beta-weighted MAC term (gamma_mode="relative" is available).
+- gamma frequency weights are the initial model's squared frequency
+  errors in Hz^2, so the cost's frequency term is not fourth-order
+  small next to the beta-weighted MAC term.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class ScenarioSpec:
     n_modes: int = 5
     noise_std: float = 0.0                # relative, on frequencies and shapes
     beta: float = 0.75
-    gamma_mode: str = "absolute"          # or "relative"
     target_cost: float = 0.0
     seed: int = 2024
 
@@ -76,8 +75,6 @@ class ScenarioSpec:
             raise ValueError("n_modes must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
-        if self.gamma_mode not in ("relative", "absolute"):
-            raise ValueError("gamma_mode must be 'relative' or 'absolute'")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -219,9 +216,8 @@ def build_scenario(spec: ScenarioSpec,
                              coordinate_map=measured.coordinate_map)
 
     initial_modes = solve_observed(structure, None, spec.n_modes, observed)
-    pairing = pair_modes(initial_modes, measured)
-    gamma = compute_gamma_weights(initial_modes.select_modes(pairing), measured,
-                                  mode=spec.gamma_mode)
+    pairing, _ = pair_modes(initial_modes, measured)
+    gamma = compute_gamma_weights(initial_modes.select_modes(pairing), measured)
 
     n_el = structure.n_elements
     problem = UpdatingProblem(

@@ -107,8 +107,10 @@ def forward(net: SurrogateNet, x: np.ndarray) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    if single and x.size != net.d_in:
-        raise ValueError(f"expected {net.d_in} inputs, got {x.size}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or an (n, d_in) batch, got {x.ndim}-D input")
+    if x.shape[-1] != net.d_in:
+        raise ValueError(f"expected {net.d_in} inputs, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     xb = np.atleast_2d(x)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .beam import BeamStructure, assemble
-from .modal import CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, solve_modes
+from .modal import CostWeights, EigenSolveError, ModalData, cost, pair_modes, solve_modes
 from .optimizers import (
     Bounds, EvalBudget, GaConfig, HistoryRecord, SaConfig, ga_optimize,
     row_by_row, sa_optimize,
@@ -73,8 +73,7 @@ class RsmConfig:
     incremental_cycles: int = 5
     m_hidden: int = 8
     ga: GaConfig = field(default_factory=GaConfig)
-    sampler_seed: int = 1
-    sampler: str = "lhs"  # or "uniform"
+    sampler_seed: int = 1  # seeds the LHS design and the net's initial weights
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -83,8 +82,6 @@ class RsmConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.initial_cycles < 1 or self.incremental_cycles < 1:
             raise ValueError("training cycle counts must be >= 1")
-        if self.sampler not in ("lhs", "uniform"):
-            raise ValueError("sampler must be 'lhs' or 'uniform'")
         if self.sampler_seed < 0:
             raise ValueError("sampler_seed must be >= 0")
 
@@ -114,6 +111,7 @@ class UpdateReport:
     target_reached: bool = False
     surrogate: SurrogateNet | None = None
     design: tuple[np.ndarray, np.ndarray] | None = None  # final RSM training set
+    design_best_cost: float | None = None  # RSM: lowest cost of the initial design
 
     def __post_init__(self):
         if self.fe_evaluations <= 0:
@@ -162,44 +160,30 @@ def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
     return modes.at_coordinates(observed)
 
 
-def compute_gamma_weights(initial: ModalData, measured: ModalData,
-                          mode: str) -> np.ndarray:
+def compute_gamma_weights(initial: ModalData, measured: ModalData) -> np.ndarray:
     """Per-mode frequency weights from the initial model's errors.
 
-    mode="relative": gamma_i = ((w_i^m - w_i^0) / w_i^m)^2, dimensionless.
-    mode="absolute": gamma_i = (f_i^m - f_i^0)^2 in Hz^2, which makes the
-    frequency term of the cost comparable to the beta-weighted MAC term
-    instead of fourth-order small. Both operate on already-paired sets.
+    gamma_i = (f_i^m - f_i^0)^2 in Hz^2, on already-paired sets. Squared
+    errors in Hz keep the cost's frequency term comparable to the
+    beta-weighted MAC term; relative errors would make it fourth-order
+    small.
     """
     if initial.n_modes != measured.n_modes:
         raise ValueError("mode sets must be paired")
-    if np.any(measured.frequencies == 0.0):
-        raise ValueError("measured frequencies must be non-zero")
-    if mode == "relative":
-        rel = (measured.frequencies - initial.frequencies) / measured.frequencies
-        return rel**2
-    if mode == "absolute":
-        return (measured.frequencies_hz - initial.frequencies_hz) ** 2
-    raise ValueError("mode must be 'relative' or 'absolute'")
+    return (measured.frequencies_hz - initial.frequencies_hz) ** 2
 
 
-def sample_design(bounds: Bounds, n: int, seed: int, method: str) -> np.ndarray:
-    """n design points in the box, by method "lhs" (Latin hypercube) or "uniform".
+def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
+    """n Latin-hypercube design points in the box.
 
-    LHS places exactly one point per 1/n stratum in every coordinate.
+    Exactly one point falls in each 1/n stratum of every coordinate.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    d = bounds.dim
-    if method == "uniform":
-        u = rng.uniform(0.0, 1.0, (n, d))
-    elif method == "lhs":
-        u = np.empty((n, d))
-        for j in range(d):
-            u[:, j] = (rng.permutation(n) + rng.uniform(0.0, 1.0, n)) / n
-    else:
-        raise ValueError("method must be 'lhs' or 'uniform'")
+    u = np.empty((n, bounds.dim))
+    for j in range(bounds.dim):
+        u[:, j] = (rng.permutation(n) + rng.uniform(0.0, 1.0, n)) / n
     return bounds.lower + u * bounds.range
 
 
@@ -208,11 +192,11 @@ def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
     solved = solve_observed(problem.structure, params, problem.n_modes,
                             problem.measured.coordinate_map)
     pairing = pair_modes(solved, problem.measured)
+    idx, paired_mac = pairing
     meas = problem.measured
-    hz = solved.frequencies_hz[pairing]
+    hz = solved.frequencies_hz[idx]
     errors = 100.0 * (hz - meas.frequencies_hz) / meas.frequencies_hz
-    mac_diag = np.diag(mac(solved.mode_shapes[:, pairing], meas.mode_shapes))
-    return (hz, errors, float(mac_diag.mean()),
+    return (hz, errors, float(paired_mac.mean()),
             cost(solved, meas, problem.weights, pairing=pairing))
 
 
@@ -284,11 +268,12 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
         budget.charge(cfg.n_samples)  # design points count as FE evaluations
         X, t = X.copy(), t.copy()
     else:
-        X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
+        X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
         t = np.array([full_objective(problem, x, budget) for x in X])
 
     best_i = int(np.argmin(t))
     best_x, best_cost = X[best_i].copy(), float(t[best_i])
+    design_best_cost = best_cost
 
     center, scale = target_scaling(t)
     net = init_net(d, cfg.m_hidden, problem.bounds, seed=cfg.sampler_seed,
@@ -329,6 +314,7 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
     )
     report.surrogate = net
     report.design = (X, t)
+    report.design_best_cost = design_best_cost
     return report
 
 

@@ -106,7 +106,6 @@ observed_dofs = 0, 2, 4, 6
 
 [cost]
 beta = 0.5
-gamma_mode = Relative
 target_cost = 0.001
 
 [rsm]
@@ -115,7 +114,6 @@ max_iterations = 3
 initial_cycles = 30
 incremental_cycles = 2
 m_hidden = 4
-sampler = uniform
 sampler_seed = 11
 
 [ga]
@@ -152,10 +150,10 @@ def test_load_settings_every_key_lands_on_its_field(tmp_path):
         nominal_modulus=7.1e10, lower_bound=6.5e10, upper_bound=7.5e10,
         ground_truth_perturbations=((1, 6.6e10), (2, 6.8e10)),
         observed_dofs=(0, 2, 4, 6), n_modes=4, noise_std=0.01, beta=0.5,
-        gamma_mode="relative", target_cost=0.001, seed=9)
+        target_cost=0.001, seed=9)
     assert s.rsm == RsmConfig(n_samples=20, max_iterations=3, initial_cycles=30,
                               incremental_cycles=2, m_hidden=4, ga=ga,
-                              sampler_seed=11, sampler="uniform")
+                              sampler_seed=11)
     assert s.ga == ga
     assert s.sa == SaConfig(initial_temperature=2.0, cooling_factor=0.8,
                             steps_per_temperature=7, n_runs=2, step_scale=0.2,
@@ -190,6 +188,18 @@ def test_unknown_key_rejected(tmp_path, capsys, section, key):
                  "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("cost", "gamma_mode", "absolute"),  # gamma is always in Hz^2
+    ("rsm", "sampler", "lhs"),           # the design is always a Latin hypercube
+])
+def test_removed_option_rejected(tmp_path, capsys, section, key, value):
+    path = tmp_path / "removed.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["run", "--config", str(path), "--method", "ga",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"[{section}] unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_default_section_rejected(tmp_path):
@@ -455,6 +465,22 @@ def test_comparison_errors_recompute(small_config, tmp_path):
         parts = row.split(",")
         measured, hz, err = (float(parts[i]) for i in (i_meas, i_hz, i_err))
         assert abs(100.0 * (hz - measured) / measured - err) < 1e-9
+
+
+def test_rsm_report_gives_design_best_cost(small_config, tmp_path):
+    out, design = tmp_path / "best", tmp_path / "design.csv"
+    assert main(["run", "--config", str(small_config), "--method", "all",
+                 "--out", str(out)]) == 0
+    assert main(["sample", "--config", str(small_config), "--out", str(design)]) == 0
+    report = (out / "report_rsm.txt").read_text()
+    section = report.split("[result]\n")[1].split("\n\n")[0]
+    result = dict(line.split(": ") for line in section.splitlines())
+    # the sample command writes the design the RSM run starts from
+    design_costs = np.loadtxt(design, delimiter=",", skiprows=1)[:, -1]
+    assert float(result["design_best_cost"]) == design_costs.min()
+    assert float(result["design_best_cost"]) >= float(result["final_cost"])
+    for method in ("ga", "sa"):
+        assert "design_best_cost" not in (out / f"report_{method}.txt").read_text()
 
 
 # ---------------------------------------------------------------- sample

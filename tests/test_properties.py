@@ -1,4 +1,5 @@
-"""Property tests: MAC range and scale invariance, cost sign, pairing validity.
+"""Property tests: MAC range and scale invariance, cost sign, pairing validity,
+and the pairing as the one source of the cost's MAC values.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs and writes nothing to the working tree.
@@ -98,7 +99,23 @@ def test_cost_nonnegative(sets):
 @given(pairing_inputs())
 def test_pairing_picks_distinct_elastic_modes(inputs):
     calc, measured = inputs
-    pairing = pair_modes(calc, measured)
+    pairing = pair_modes(calc, measured)[0]
     assert pairing.size == measured.n_modes
     assert np.unique(pairing).size == pairing.size
     assert not calc.rigid[pairing].any()
+
+
+@PROPERTY
+@given(pairing_inputs(), st.data())
+def test_pairing_mac_and_cost_match_a_fresh_mac_matrix(inputs, data):
+    calc, measured = inputs
+    pairing, paired_mac = pair_modes(calc, measured)
+    fresh = np.diag(mac(calc.mode_shapes[:, pairing], measured.mode_shapes))
+    np.testing.assert_array_equal(paired_mac, fresh)
+    weights = CostWeights(
+        gamma=data.draw(arrays(float, measured.n_modes, elements=st.floats(0.0, 10.0))),
+        beta=data.draw(st.floats(0.0, 10.0)))
+    rel = (measured.frequencies - calc.frequencies[pairing]) / measured.frequencies
+    expected = float(np.sum(weights.gamma * rel**2)
+                     + weights.beta * np.sum(1.0 - np.clip(fresh, 0.0, 1.0)))
+    assert cost(calc, measured, weights, pairing=(pairing, paired_mac)) == expected

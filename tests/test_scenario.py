@@ -44,14 +44,10 @@ def test_default_damage_zone_is_the_crossbar():
     assert np.all(np.diff(xs) > 0)
 
 
-def test_gamma_mode_choices():
-    rel_problem, _ = build_scenario(ScenarioSpec(gamma_mode="relative"))
-    abs_problem, _ = build_scenario(ScenarioSpec(gamma_mode="absolute"))
-    # relative weights are dimensionless squared errors, absolute are Hz^2
-    assert rel_problem.weights.gamma.max() < 1e-2
-    assert abs_problem.weights.gamma.max() > 1.0
-    with pytest.raises(ValueError, match="gamma_mode"):
-        ScenarioSpec(gamma_mode="squared")
+def test_gamma_weights_in_hz_squared():
+    problem, _ = build_scenario(ScenarioSpec())
+    # squared frequency errors in Hz^2, not dimensionless relative ones
+    assert problem.weights.gamma.max() > 1.0
 
 
 def test_no_perturbation_means_zero_initial_cost():

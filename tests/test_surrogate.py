@@ -77,6 +77,15 @@ def test_forward_dimension_and_finite_checks():
         forward(net, np.array([np.nan]))
 
 
+def test_forward_checks_batch_width():
+    net = random_net(np.random.default_rng(1), 3, 4)
+    for x in (np.zeros(5), np.zeros((4, 5))):
+        with pytest.raises(ValueError, match="expected 3 inputs, got 5"):
+            forward(net, x)
+    with pytest.raises(ValueError, match="3-D input"):
+        forward(net, np.zeros((2, 4, 3)))
+
+
 def test_forward_bounded_by_second_layer_weights():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -16,7 +16,8 @@ from femupdate.updating import (
     RsmConfig, compute_gamma_weights, full_objective, rsm_update, ga_update,
     sa_update, sample_design,
 )
-from femupdate.modal import ModalData
+import femupdate.modal
+from femupdate.modal import ModalData, mac
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,20 @@ def test_ga_truncated_mid_generation_keeps_paid_costs(default_problem):
     assert res.history[0].best_cost == min(costs)
 
 
+def test_objective_builds_one_mac_matrix(default_problem, monkeypatch):
+    problem, _ = default_problem
+    calls = []
+
+    def counting_mac(a, b):
+        calls.append(a.shape)
+        return mac(a, b)
+
+    monkeypatch.setattr(femupdate.modal, "mac", counting_mac)
+    full_objective(problem, problem.initial_parameters(), EvalBudget())
+    # pairing builds the matrix; the cost reads the paired MACs from it
+    assert len(calls) == 1
+
+
 def test_objective_infinite_on_solver_failure(default_problem):
     problem, truth = default_problem
     bad = truth.copy()
@@ -119,14 +134,17 @@ def test_gamma_zero_when_initial_matches_measured():
     shapes = np.eye(3)
     a = ModalData(frequencies=[1.0, 2.0, 3.0], mode_shapes=shapes,
                   coordinate_map=np.arange(3))
-    np.testing.assert_array_equal(compute_gamma_weights(a, a, mode="relative"), np.zeros(3))
+    np.testing.assert_array_equal(compute_gamma_weights(a, a), np.zeros(3))
 
 
 def test_gamma_hand_value():
     shapes = np.ones((2, 1))
-    init = ModalData(frequencies=[90.0], mode_shapes=shapes, coordinate_map=[0, 1])
-    meas = ModalData(frequencies=[100.0], mode_shapes=shapes, coordinate_map=[0, 1])
-    np.testing.assert_allclose(compute_gamma_weights(init, meas, mode="relative"), [0.01])
+    # 90 Hz against 100 Hz, given in rad/s
+    init = ModalData(frequencies=[2.0 * np.pi * 90.0], mode_shapes=shapes,
+                     coordinate_map=[0, 1])
+    meas = ModalData(frequencies=[2.0 * np.pi * 100.0], mode_shapes=shapes,
+                     coordinate_map=[0, 1])
+    np.testing.assert_allclose(compute_gamma_weights(init, meas), [100.0])  # Hz^2
 
 
 def test_gamma_largest_for_largest_mismatch():
@@ -135,8 +153,8 @@ def test_gamma_largest_for_largest_mismatch():
                      coordinate_map=np.arange(3))
     meas = ModalData(frequencies=[100.0, 200.0, 300.0], mode_shapes=shapes,
                      coordinate_map=np.arange(3))
-    g = compute_gamma_weights(init, meas, mode="relative")
-    assert np.argmax(g) == 1  # 10% error beats 5% and 3.3%
+    g = compute_gamma_weights(init, meas)
+    assert np.argmax(g) == 1  # 20 rad/s error beats 5 and 10 rad/s
 
 
 # ---------------------------------------------------------------- sampling
@@ -144,7 +162,7 @@ def test_gamma_largest_for_largest_mismatch():
 
 def test_sample_design_single_point():
     b = Bounds(lower=np.array([1.0, -1.0]), upper=np.array([2.0, 1.0]))
-    x = sample_design(b, 1, seed=0, method="lhs")
+    x = sample_design(b, 1, seed=0)
     assert x.shape == (1, 2)
     assert b.contains(x[0])
 
@@ -152,7 +170,7 @@ def test_sample_design_single_point():
 def test_sample_design_lhs_stratification():
     b = Bounds(lower=np.full(12, 6.0e10), upper=np.full(12, 8.0e10))
     n = 150
-    X = sample_design(b, n, seed=1, method="lhs")
+    X = sample_design(b, n, seed=1)
     assert X.shape == (n, 12)
     for j in range(12):
         strata = np.floor((X[:, j] - 6.0e10) / (2.0e10 / n)).astype(int)
@@ -161,17 +179,10 @@ def test_sample_design_lhs_stratification():
 
 def test_sample_design_deterministic():
     b = Bounds(lower=np.zeros(3), upper=np.ones(3))
-    np.testing.assert_array_equal(sample_design(b, 20, seed=9, method="lhs"),
-                                  sample_design(b, 20, seed=9, method="lhs"))
-    assert not np.array_equal(sample_design(b, 20, seed=9, method="lhs"),
-                              sample_design(b, 20, seed=10, method="lhs"))
-
-
-def test_sample_design_uniform_mode():
-    b = Bounds(lower=np.zeros(2), upper=np.ones(2))
-    X = sample_design(b, 50, seed=2, method="uniform")
-    assert X.shape == (50, 2)
-    assert np.all((X >= 0.0) & (X <= 1.0))
+    np.testing.assert_array_equal(sample_design(b, 20, seed=9),
+                                  sample_design(b, 20, seed=9))
+    assert not np.array_equal(sample_design(b, 20, seed=9),
+                              sample_design(b, 20, seed=10))
 
 
 # ---------------------------------------------------------------- RSM loop
@@ -198,12 +209,22 @@ def test_rsm_runs_all_iterations_with_zero_target(default_problem):
 def test_rsm_replace_worst_keeps_design_size(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
     report = rsm_update(problem, cfg, initial_design=(X0, t0))
     X1, t1 = report.design
     assert X1.shape == X0.shape and t1.shape == t0.shape
     assert t1.max() <= t0.max()
+
+
+def test_rsm_reports_design_best_cost(default_problem):
+    problem, _ = default_problem
+    cfg = small_rsm_config()
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
+    report = rsm_update(problem, cfg, initial_design=(X0, t0))
+    assert report.design_best_cost == t0.min()
+    assert report.final_cost <= report.design_best_cost
 
 
 def test_rsm_report_self_consistent(default_problem):
@@ -228,7 +249,7 @@ def test_rsm_deterministic(default_problem):
 def test_rsm_nonfinite_design_cost_raises(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
     t0[7] = np.inf
     # surrogate training rejects the design instead of ending the loop silently
@@ -253,7 +274,7 @@ def test_rsm_rejects_design_shape_mismatch(default_problem):
 def test_rsm_rejects_design_outside_bounds(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed, cfg.sampler)
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     X0[5, 3] = 1.01 * problem.bounds.upper[3]
     X0[9, 0] = 0.5 * problem.bounds.lower[0]
     # the surrogate scales inputs by the bounds; outside points leave [-1, 1]

@@ -130,11 +130,19 @@ def row_by_row(objective):
 
 
 class EvalBudget:
-    """Running count of objective evaluations, with optional cap; not thread-safe."""
+    """Running count of objective evaluations, with optional cap; not thread-safe.
+
+    It also holds what one run has solved: costs maps the float64 bytes
+    of each parameter vector with a finite cost to that cost, and solves
+    counts the model solves actually run, so a repeated candidate is
+    charged as an evaluation but not solved again.
+    """
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self._calls = 0
+        self.solves = 0
+        self.costs: dict[bytes, float] = {}
 
     @property
     def calls(self) -> int:
@@ -186,14 +194,11 @@ def arithmetic_crossover(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarra
     """
     if p1.shape != p2.shape:
         raise ValueError("parents must have equal length")
-    a = rng.uniform()
-    c1, c2 = _crossover(p1[None], p2[None], np.array([a]))
-    return c1[0], c2[0]
+    return _crossover(p1, p2, rng.uniform())
 
 
-def _crossover(p1: np.ndarray, p2: np.ndarray, a: np.ndarray):
-    """Row-wise arithmetic crossover of (k, d) parents with (k,) weights a."""
-    a = a[:, None]
+def _crossover(p1: np.ndarray, p2: np.ndarray, a):
+    """Arithmetic crossover with weight a, a scalar or broadcast against the parents."""
     return a * p1 + (1.0 - a) * p2, (1.0 - a) * p1 + a * p2
 
 
@@ -210,25 +215,20 @@ def nonuniform_mutate(x: np.ndarray, t: int, t_max: int, bounds: Bounds,
     i = int(rng.integers(x.size))
     toward_upper = rng.uniform() < 0.5
     r = rng.uniform()
-    return _mutate(x[None], np.array([i]), np.array([toward_upper]), np.array([r]),
-                   (1.0 - t / t_max) ** b, bounds)[0]
-
-
-def _mutate(X: np.ndarray, i: np.ndarray, toward_upper: np.ndarray, r: np.ndarray,
-            expo: float, bounds: Bounds) -> np.ndarray:
-    """Non-uniform mutation of coordinate i[k] of each row X[k], on a copy.
-
-    Row k moves toward its upper bound where toward_upper[k], else toward
-    its lower bound, by the distance to that bound times 1 - r[k]^expo.
-    """
-    out = X.copy()
-    rows = np.arange(X.shape[0])
-    xi = X[rows, i]
-    step = 1.0 - r**expo
-    out[rows, i] = np.where(toward_upper,
-                            xi + (bounds.upper[i] - xi) * step,
-                            xi - (xi - bounds.lower[i]) * step)
+    out = x.copy()
+    out[i] = _mutate(x[i], bounds.lower[i], bounds.upper[i], toward_upper, r,
+                     (1.0 - t / t_max) ** b)
     return out
+
+
+def _mutate(xi, lower, upper, toward_upper, r, expo):
+    """Coordinate values xi moved by non-uniform mutation; scalars or arrays.
+
+    Each moves toward upper where toward_upper, else toward lower, by the
+    distance to that bound times 1 - r^expo.
+    """
+    step = 1.0 - r**expo
+    return np.where(toward_upper, xi + (upper - xi) * step, xi - (xi - lower) * step)
 
 
 def geometric_select(ranked_costs, q: float, rng) -> int:
@@ -244,16 +244,17 @@ def geometric_select(ranked_costs, q: float, rng) -> int:
         raise ValueError("q must lie strictly in (0, 1)")
     if n == 1:
         return 0
-    return int(_geometric_ranks(np.array([rng.uniform()]), q, n)[0])
+    return int(_geometric_ranks(rng.uniform(), q, n))
 
 
-def _geometric_ranks(u: np.ndarray, q: float, n: int) -> np.ndarray:
-    """Ranks in [0, n) for uniform draws u, by the geometric inverse CDF.
+def _geometric_ranks(u, q: float, n: int):
+    """Ranks in [0, n), as floats, for uniform draws u (scalar or array).
 
-    The rank is the smallest r with u < (1 - (1-q)^(r+1)) / (1 - (1-q)^n).
+    By the geometric inverse CDF, the rank is the smallest r with
+    u < (1 - (1-q)^(r+1)) / (1 - (1-q)^n).
     """
     r = np.floor(np.log1p(-u * (1.0 - (1.0 - q) ** n)) / math.log1p(-q))
-    return np.minimum(r, n - 1).astype(int)
+    return np.minimum(r, n - 1.0)
 
 
 def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bool:
@@ -336,21 +337,21 @@ def _next_generation(pop, costs, best_x, gen, cfg: GaConfig, bounds: Bounds, rng
     ranked = pop[np.argsort(costs, kind="stable")]
     pairs = size // 2
 
-    ranks = _geometric_ranks(rng.uniform(size=(pairs, 2)), cfg.selection_q, size)
+    ranks = _geometric_ranks(rng.uniform(size=(pairs, 2)), cfg.selection_q, size).astype(int)
     c1, c2 = ranked[ranks[:, 0]], ranked[ranks[:, 1]]
     crossed = rng.uniform(size=pairs) < cfg.crossover_rate
     c1[crossed], c2[crossed] = _crossover(c1[crossed], c2[crossed],
-                                          rng.uniform(size=int(crossed.sum())))
+                                          rng.uniform(size=(int(crossed.sum()), 1)))
     children = np.stack([c1, c2], axis=1).reshape(-1, d)[:size - 1]
 
-    mutated = rng.uniform(size=size - 1) < cfg.mutation_rate
-    m = int(mutated.sum())
-    if m:
-        i = rng.integers(d, size=m)
-        toward_upper = rng.uniform(size=m) < 0.5
-        r = rng.uniform(size=m)
+    rows = np.flatnonzero(rng.uniform(size=size - 1) < cfg.mutation_rate)
+    if rows.size:
+        i = rng.integers(d, size=rows.size)
+        toward_upper = rng.uniform(size=rows.size) < 0.5
+        r = rng.uniform(size=rows.size)
         expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
-        children[mutated] = _mutate(children[mutated], i, toward_upper, r, expo, bounds)
+        children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
+                                    toward_upper, r, expo)
     # elitism of 1: the incumbent best survives unmodified
     return np.vstack([best_x, children])
 

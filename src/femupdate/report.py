@@ -59,6 +59,7 @@ def render_report(report: UpdateReport) -> str:
         lines.append(f"design_best_cost: {fmt(report.design_best_cost)}")
     lines += [
         f"fe_evaluations: {report.fe_evaluations}",
+        f"fe_solves: {report.fe_solves}",
         f"mean_abs_initial_error_pct: {fmt(report.mean_abs_initial_error_pct)}",
         f"mean_abs_updated_error_pct: {fmt(report.mean_abs_updated_error_pct)}",
         f"wall_time_s: {fmt(report.wall_time_s)}",
@@ -170,6 +171,8 @@ def write_comparison(reports: list[UpdateReport], modes_path, summary_path):
              [fmt(r.final_cost) for r in reports]),
             ("fe_evaluations", "",
              [str(r.fe_evaluations) for r in reports]),
+            ("fe_solves", "",
+             [str(r.fe_solves) for r in reports]),
             ("wall_time_s", "",
              [fmt(r.wall_time_s) for r in reports]),
         ]

@@ -102,7 +102,8 @@ class UpdateReport:
     mac_mean_updated: float
     initial_cost: float
     final_cost: float
-    fe_evaluations: int
+    fe_evaluations: int  # charged: one per candidate asked for
+    fe_solves: int       # model solves actually run, failed ones included
     history: list[HistoryRecord]
     wall_time_s: float
     seeds: dict
@@ -133,10 +134,16 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
     """Modal-distance cost of one parameter vector on the full FE model.
 
     Counts one FE evaluation in budget, which raises BudgetExhausted once
-    its cap is reached. Eigen failures yield +inf so optimizers reject
-    the candidate and keep running.
+    its cap is reached. A parameter vector budget has already scored
+    returns its stored cost without a new solve. Eigen failures yield
+    +inf, are never stored, and so are solved and logged on every call;
+    optimizers reject the candidate and keep running.
     """
     budget.consume()
+    key = np.asarray(params, dtype=float).tobytes()
+    if key in budget.costs:
+        return budget.costs[key]
+    budget.solves += 1
     try:
         calc = solve_observed(problem.structure, params, problem.n_modes,
                               problem.measured.coordinate_map)
@@ -144,7 +151,10 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
         log.warning("full objective failed for a candidate: %s", exc)
         return math.inf
     pairing = pair_modes(calc, problem.measured)
-    return cost(calc, problem.measured, problem.weights, pairing=pairing)
+    c = cost(calc, problem.measured, problem.weights, pairing=pairing)
+    if math.isfinite(c):
+        budget.costs[key] = c
+    return c
 
 
 def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
@@ -221,6 +231,7 @@ def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
         initial_cost=initial_cost,
         final_cost=final_cost,
         fe_evaluations=budget.calls,
+        fe_solves=budget.solves,
         history=list(history),
         wall_time_s=wall_time_s,
         seeds=dict(seeds),

@@ -404,6 +404,16 @@ def test_run_all_writes_reports_and_comparison(small_config, tmp_path):
     assert ga_evals == 30 * 30
     # the design-plus-refinements count stays under 5% of the GA's budget
     assert rsm_evals < 0.05 * ga_evals
+    # solves sit next to the charge; the GA repeats candidates it carries forward
+    solves = summary[summary.index(fe_row) + 1].split(",")
+    assert solves[:2] == ["fe_solves", ""]
+    assert int(solves[2]) == rsm_evals
+    assert 0 < int(solves[3]) < ga_evals
+    assert int(solves[4]) == int(fe[4])
+    for m, n in zip(("rsm", "ga", "sa"), solves[2:]):
+        report = (out / f"report_{m}.txt").read_text().splitlines()
+        at = next(i for i, l in enumerate(report) if l.startswith("fe_evaluations: "))
+        assert report[at + 1] == f"fe_solves: {n}"
 
 
 def test_run_single_method(small_config, tmp_path):

@@ -17,6 +17,7 @@ from femupdate.updating import (
     sa_update, sample_design,
 )
 import femupdate.modal
+import femupdate.updating
 from femupdate.modal import ModalData, mac
 
 
@@ -125,6 +126,112 @@ def test_objective_infinite_on_solver_failure(default_problem):
     bad[0] = np.nan
     # invalid moduli are rejected by assembly -> +inf sentinel, run continues
     assert full_objective(problem, bad, EvalBudget()) == np.inf
+
+
+# ---------------------------------------------------------------- cost memo
+# A fresh EvalBudget per call holds no stored costs: it is the oracle.
+
+
+@pytest.fixture()
+def counted_solves(monkeypatch):
+    """Parameter vectors passed to solve_observed, which runs as shipped."""
+    seen = []
+    solve = femupdate.updating.solve_observed
+
+    def counting(structure, moduli, n_modes, observed):
+        seen.append(np.array(moduli, dtype=float))
+        return solve(structure, moduli, n_modes, observed)
+
+    monkeypatch.setattr(femupdate.updating, "solve_observed", counting)
+    return seen
+
+
+def oracle_objective(problem, budget=None):
+    """full_objective with a fresh budget per call; budget, if given, only counts."""
+    def objective(x):
+        if budget is not None:
+            budget.consume()
+        return full_objective(problem, x, EvalBudget())
+    return objective
+
+
+def test_ga_update_matches_oracle_path(default_problem):
+    problem, _ = default_problem
+    cfg = GaConfig(population_size=10, generations=12, seed=8)
+    report = ga_update(problem, cfg)
+    oracle = ga_optimize(row_by_row(oracle_objective(problem)), problem.bounds, cfg)
+    np.testing.assert_array_equal(report.updated_parameters, oracle.best_x)
+    assert report.final_cost == oracle.best_cost
+    assert report.history == oracle.history
+    assert report.fe_solves < report.fe_evaluations == 120
+
+
+def test_repeated_candidate_solved_once(default_problem, counted_solves):
+    problem, truth = default_problem
+    x0 = problem.initial_parameters()
+    budget = EvalBudget()
+    costs = [full_objective(problem, x, budget) for x in (truth, x0, truth.copy(), x0, truth)]
+    assert budget.calls == 5  # every repeat is still charged
+    assert budget.solves == len(counted_solves) == 2
+    assert costs[0] == costs[2] == costs[4] == full_objective(problem, truth, EvalBudget())
+    assert costs[1] == costs[3] == full_objective(problem, x0, EvalBudget())
+
+
+def test_nonfinite_candidate_solved_and_logged_every_time(default_problem, counted_solves,
+                                                          caplog):
+    problem, truth = default_problem
+    bad = truth.copy()
+    bad[0] = np.nan
+    budget = EvalBudget()
+    with caplog.at_level("WARNING", logger="femupdate.updating"):
+        assert full_objective(problem, bad, budget) == np.inf
+        assert full_objective(problem, bad.copy(), budget) == np.inf
+    failures = [r for r in caplog.records if "failed for a candidate" in r.getMessage()]
+    assert len(failures) == len(counted_solves) == budget.solves == budget.calls == 2
+    assert budget.costs == {}
+
+
+def test_nonfinite_cost_never_stored(default_problem, counted_solves, monkeypatch):
+    problem, truth = default_problem
+    monkeypatch.setattr(femupdate.updating, "cost", lambda *args, **kwargs: np.nan)
+    budget = EvalBudget()
+    assert np.isnan(full_objective(problem, truth, budget))
+    assert np.isnan(full_objective(problem, truth, budget))
+    assert len(counted_solves) == budget.solves == 2
+    assert budget.costs == {}
+
+
+@pytest.mark.parametrize("limit", [5, 73, 120])
+def test_capped_ga_truncates_on_the_oracle_row(default_problem, limit):
+    problem, _ = default_problem
+    cfg = GaConfig(population_size=10, generations=12, seed=8)
+    budget = EvalBudget(limit=limit)
+    res = ga_optimize(row_by_row(lambda x: full_objective(problem, x, budget)),
+                      problem.bounds, cfg)
+    counter = EvalBudget(limit=limit)
+    oracle = ga_optimize(row_by_row(oracle_objective(problem, counter)),
+                         problem.bounds, cfg)
+    assert budget.calls == counter.calls == limit
+    assert budget.solves <= limit
+    assert res.truncated == oracle.truncated == (limit < 120)
+    np.testing.assert_array_equal(res.best_x, oracle.best_x)
+    assert res.best_cost == oracle.best_cost
+    assert res.history == oracle.history
+
+
+def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
+                                                                counted_solves):
+    problem, _ = default_problem
+    cfg = GaConfig(population_size=10, generations=12, seed=8)
+    first = ga_update(problem, cfg)
+    n_first = len(counted_solves)
+    # the report's own two modal comparisons solve outside the budget
+    distinct = {x.tobytes() for x in counted_solves[:-2]}
+    assert first.fe_solves == n_first - 2 == len(distinct) < first.fe_evaluations
+    second = ga_update(problem, cfg)
+    assert len(counted_solves) == 2 * n_first
+    assert second.fe_solves == first.fe_solves > 0
+    assert second.final_cost == first.final_cost
 
 
 # ---------------------------------------------------------------- gamma

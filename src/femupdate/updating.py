@@ -139,11 +139,10 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
     +inf, are never stored, and so are solved and logged on every call;
     optimizers reject the candidate and keep running.
     """
-    budget.consume()
-    key = np.asarray(params, dtype=float).tobytes()
-    if key in budget.costs:
-        return budget.costs[key]
-    budget.solves += 1
+    return budget.evaluate(params, lambda: _solve_cost(problem, params))
+
+
+def _solve_cost(problem: UpdatingProblem, params: np.ndarray) -> float:
     try:
         calc = solve_observed(problem.structure, params, problem.n_modes,
                               problem.measured.coordinate_map)
@@ -151,10 +150,7 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
         log.warning("full objective failed for a candidate: %s", exc)
         return math.inf
     pairing = pair_modes(calc, problem.measured)
-    c = cost(calc, problem.measured, problem.weights, pairing=pairing)
-    if math.isfinite(c):
-        budget.costs[key] = c
-    return c
+    return cost(calc, problem.measured, problem.weights, pairing=pairing)
 
 
 def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,

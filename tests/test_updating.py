@@ -234,28 +234,16 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
     assert second.final_cost == first.final_cost
 
 
-@pytest.mark.parametrize("method", ["rsm", "ga", "sa"])
-def test_eigensolves_are_fe_solves_plus_the_two_comparisons(default_problem, monkeypatch,
-                                                             method):
+@pytest.mark.parametrize("method", ["rsm", "sa"])
+def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solves, method):
     problem, _ = default_problem
-    calls = []
-    solve = femupdate.updating.solve_modes
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(femupdate.updating, "solve_modes", counting)
     if method == "rsm":
         report = rsm_update(problem, small_rsm_config())
-    elif method == "ga":
-        report = ga_update(problem, GaConfig(population_size=10, generations=12, seed=8))
     else:
         report = sa_update(problem, SaConfig(n_runs=1, min_temperature=1e-2, seed=4))
-    # one eigensolve per solved candidate, plus the report's initial and
-    # updated modal comparisons; a lost or extra solve shows here
-    assert len(calls) == report.fe_solves + 2
-    assert 0 < report.fe_solves <= report.fe_evaluations
+    # the report's two modal comparisons solve outside the budget
+    assert len(counted_solves) == report.fe_solves + 2
+    assert report.fe_solves == report.fe_evaluations  # neither repeats a candidate
 
 
 # ---------------------------------------------------------------- gamma

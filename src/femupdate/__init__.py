@@ -20,7 +20,7 @@ from .scenario import ScenarioSpec, build_scenario, check_scenario, h_beam_struc
 from .surrogate import SurrogateNet, TrainingSet, forward, grad, init_net, loss, train
 from .updating import (
     RsmConfig, UpdateReport, UpdatingProblem, compute_gamma_weights,
-    full_objective, ga_update, load_design, rsm_update, sa_update, sample_design,
+    full_objective, ga_update, rsm_update, sa_update, sample_design,
 )
 
 __version__ = "0.1.0"
@@ -35,6 +35,6 @@ __all__ = [
     "ScenarioSpec", "build_scenario", "check_scenario", "h_beam_structure",
     "SurrogateNet", "TrainingSet", "forward", "grad", "init_net", "loss", "train",
     "RsmConfig", "UpdateReport", "UpdatingProblem", "compute_gamma_weights",
-    "full_objective", "ga_update", "load_design", "rsm_update", "sa_update",
+    "full_objective", "ga_update", "rsm_update", "sa_update",
     "sample_design",
 ]

@@ -98,12 +98,15 @@ class ModalData:
     def at_coordinates(self, dofs) -> "ModalData":
         """Restrict mode shapes to the given global DOF indices."""
         dofs = np.atleast_1d(np.asarray(dofs, dtype=int))
-        pos = np.searchsorted(self.coordinate_map, dofs)
-        if np.any(pos >= self.coordinate_map.size) or np.any(self.coordinate_map[np.minimum(pos, self.coordinate_map.size - 1)] != dofs):
+        cmap = self.coordinate_map
+        # the map need not be ascending: look rows up through its sort order
+        order = np.argsort(cmap, kind="stable")
+        pos = np.searchsorted(cmap, dofs, sorter=order)
+        if np.any(pos >= cmap.size) or np.any(cmap[rows := order[pos]] != dofs):
             raise ValueError("requested DOFs are not observed coordinates of this modal set")
         return ModalData(
             frequencies=self.frequencies.copy(),
-            mode_shapes=self.mode_shapes[pos, :],
+            mode_shapes=self.mode_shapes[rows, :],
             coordinate_map=dofs.copy(),
             rigid=self.rigid.copy(),
         )

@@ -170,10 +170,6 @@ class EvalBudget:
             raise BudgetExhausted(f"FE evaluation budget of {self.limit} exhausted")
         self._calls += 1
 
-    def charge(self, n: int):
-        """Account for n evaluations performed elsewhere (e.g. a loaded design)."""
-        self._calls += n
-
 
 @dataclass
 class HistoryRecord:
@@ -384,7 +380,7 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
     then multiplied by cooling_factor until min_temperature. History has
     one row per temperature level, tagged with the run index. The global
     best over all runs is returned. An objective raising BudgetExhausted
-    truncates the run.
+    truncates the run. RuntimeError if no evaluated cost is finite.
     """
     rng = np.random.default_rng(cfg.seed)
     steps = cfg.steps_per_temperature or 4 * bounds.dim
@@ -440,6 +436,8 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
     if rejected_nonfinite:
         log.warning("SA rejected %d non-finite objective values", rejected_nonfinite)
     if best_x is None:
-        raise RuntimeError("SA budget exhausted before any evaluation")
+        if truncated and not evaluations:
+            raise RuntimeError("SA budget exhausted before any evaluation")
+        raise RuntimeError(f"SA found no finite cost in {evaluations} evaluations")
     return OptimizeResult(best_x=best_x, best_cost=best_cost,
                           history=history, truncated=truncated)

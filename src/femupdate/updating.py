@@ -237,8 +237,7 @@ def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
     )
 
 
-def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
-               initial_design: tuple[np.ndarray, np.ndarray] | None = None) -> UpdateReport:
+def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
     """Response-surface updating loop.
 
     1. Sample n_samples points (Latin hypercube) and evaluate them on the
@@ -252,31 +251,17 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
     5. If the cost still exceeds target_cost and iterations remain,
        replace the worst sample with the new pair and repeat from 2.
 
-    Total FE evaluations are n_samples + (iterations performed). The
-    returned parameters are always full-model evaluated. A precomputed
-    (points, costs) design may be passed to warm-start step 1; a point
-    outside problem.bounds raises ValueError, and a non-finite design
-    cost makes surrogate training raise ValueError.
+    Total FE evaluations are n_samples + (iterations performed), each
+    one a full_objective call. The returned parameters are always
+    full-model evaluated. A non-finite design cost, such as a failed
+    solve, makes surrogate training raise ValueError.
     """
     t0 = time.perf_counter()
     budget = EvalBudget()
     d = problem.n_params
 
-    if initial_design is not None:
-        X, t = initial_design
-        X = np.asarray(X, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if X.shape != (cfg.n_samples, d) or t.shape != (cfg.n_samples,):
-            raise ValueError("initial design shape does not match the configuration")
-        outside = np.any((X < problem.bounds.lower) | (X > problem.bounds.upper), axis=1)
-        if outside.any():
-            raise ValueError(
-                f"initial design row {int(np.argmax(outside))} lies outside the bounds")
-        budget.charge(cfg.n_samples)  # design points count as FE evaluations
-        X, t = X.copy(), t.copy()
-    else:
-        X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
-        t = np.array([full_objective(problem, x, budget) for x in X])
+    X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    t = np.array([full_objective(problem, x, budget) for x in X])
 
     best_i = int(np.argmin(t))
     best_x, best_cost = X[best_i].copy(), float(t[best_i])
@@ -323,12 +308,6 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig,
     report.design = (X, t)
     report.design_best_cost = design_best_cost
     return report
-
-
-def load_design(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a design written by the sample command: parameters + cost columns."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return rows[:, :-1], rows[:, -1]
 
 
 def ga_update(problem: UpdatingProblem, cfg: GaConfig) -> UpdateReport:

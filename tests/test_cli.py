@@ -512,20 +512,6 @@ def test_sample_deterministic(small_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sample_reusable_as_rsm_warm_start(small_config, tmp_path):
-    from femupdate.scenario import build_scenario
-    from femupdate.updating import load_design, rsm_update
-    from femupdate.config import load_settings
-
-    out = tmp_path / "design.csv"
-    assert main(["sample", "--config", str(small_config), "--out", str(out)]) == 0
-    settings = load_settings(small_config)
-    problem, _ = build_scenario(settings.spec)
-    X, t = load_design(out)
-    report = rsm_update(problem, settings.rsm, initial_design=(X, t))
-    assert report.fe_evaluations == settings.rsm.n_samples + settings.rsm.max_iterations
-
-
 # ---------------------------------------------------------------- modes
 
 

@@ -271,3 +271,35 @@ def test_pair_modes_insufficient_elastic():
     meas = modal_from([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="elastic"):
         pair_modes(d, meas)
+
+
+# ---------------------------------------------------------------- coordinates
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_at_coordinates_follows_unsorted_map(seed):
+    rng = np.random.default_rng(seed)
+    cmap = rng.permutation(np.arange(0, 20, 2))
+    shapes = rng.standard_normal((cmap.size, 3))
+    data = ModalData(frequencies=[1.0, 2.0, 3.0], mode_shapes=shapes, coordinate_map=cmap)
+    row_of = {int(dof): i for i, dof in enumerate(cmap)}
+    for dofs in (rng.permutation(cmap), cmap[:1], rng.choice(cmap, 4, replace=False)):
+        sub = data.at_coordinates(dofs)
+        np.testing.assert_array_equal(sub.coordinate_map, dofs)
+        np.testing.assert_array_equal(sub.mode_shapes, shapes[[row_of[int(d)] for d in dofs]])
+    for missing in ([1], [cmap[0], 19], [-2], [20]):
+        with pytest.raises(ValueError, match="not observed"):
+            data.at_coordinates(missing)
+
+
+def test_objective_independent_of_observed_order():
+    ascending = tuple(range(0, 26, 2))
+    problems = [build_scenario(ScenarioSpec(observed_dofs=dofs))[0]
+                for dofs in (ascending, ascending[::-1])]
+    np.testing.assert_array_equal(problems[1].measured.coordinate_map, ascending[::-1])
+    bounds = problems[0].bounds
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = bounds.lower + rng.uniform(size=bounds.dim) * bounds.range
+        a, b = (full_objective(p, x, EvalBudget()) for p in problems)
+        assert b == pytest.approx(a, rel=1e-12)

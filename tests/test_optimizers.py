@@ -414,6 +414,21 @@ def test_sa_budget_truncation():
     assert budget.calls == 30
 
 
+def test_sa_all_nonfinite_costs_named_as_such():
+    obj = CountingObjective(lambda x: math.inf)
+    with pytest.raises(RuntimeError, match="no finite cost in") as exc:
+        sa_optimize(obj, unit_box(2), SaConfig(n_runs=1, min_temperature=0.5))
+    assert str(exc.value).endswith(f" {obj.calls} evaluations")
+    assert obj.calls > 1
+
+
+def test_sa_budget_exhausted_before_any_evaluation():
+    obj = CountingObjective(lambda x: float(np.sum(x**2)), EvalBudget(limit=0))
+    with pytest.raises(RuntimeError, match="budget exhausted before any evaluation"):
+        sa_optimize(obj, unit_box(2), SaConfig(n_runs=1, min_temperature=0.5))
+    assert obj.calls == 0
+
+
 def test_sa_config_validation():
     with pytest.raises(ValueError):
         SaConfig(cooling_factor=1.0)

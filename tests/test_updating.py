@@ -18,7 +18,7 @@ from femupdate.updating import (
 )
 import femupdate.modal
 import femupdate.updating
-from femupdate.modal import ModalData, mac
+from femupdate.modal import EigenSolveError, ModalData, mac
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,20 @@ def counted_solves(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def counted_objective(monkeypatch):
+    """Parameter vectors passed to full_objective, which runs as shipped."""
+    seen = []
+    objective = femupdate.updating.full_objective
+
+    def counting(problem, params, budget):
+        seen.append(np.array(params, dtype=float))
+        return objective(problem, params, budget)
+
+    monkeypatch.setattr(femupdate.updating, "full_objective", counting)
+    return seen
+
+
 def oracle_objective(problem, budget=None):
     """full_objective with a fresh budget per call; budget, if given, only counts."""
     def objective(x):
@@ -220,10 +234,12 @@ def test_capped_ga_truncates_on_the_oracle_row(default_problem, limit):
 
 
 def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
-                                                                counted_solves):
+                                                                counted_solves,
+                                                                counted_objective):
     problem, _ = default_problem
     cfg = GaConfig(population_size=10, generations=12, seed=8)
     first = ga_update(problem, cfg)
+    assert len(counted_objective) == first.fe_evaluations
     n_first = len(counted_solves)
     # the report's own two modal comparisons solve outside the budget
     distinct = {x.tobytes() for x in counted_solves[:-2]}
@@ -235,12 +251,15 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
 
 
 @pytest.mark.parametrize("method", ["rsm", "sa"])
-def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solves, method):
+def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solves,
+                                                  counted_objective, method):
     problem, _ = default_problem
     if method == "rsm":
         report = rsm_update(problem, small_rsm_config())
     else:
         report = sa_update(problem, SaConfig(n_runs=1, min_temperature=1e-2, seed=4))
+    # every charged evaluation is one full_objective call
+    assert len(counted_objective) == report.fe_evaluations
     # the report's two modal comparisons solve outside the budget
     assert len(counted_solves) == report.fe_solves + 2
     assert report.fe_solves == report.fe_evaluations  # neither repeats a candidate
@@ -325,12 +344,18 @@ def test_rsm_runs_all_iterations_with_zero_target(default_problem):
     assert not report.target_reached
 
 
+def rsm_start_design(problem, cfg):
+    """The design step 1 of rsm_update draws and scores, recomputed."""
+    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
+    budget = EvalBudget()
+    return X0, np.array([full_objective(problem, x, budget) for x in X0])
+
+
 def test_rsm_replace_worst_keeps_design_size(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
-    t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
-    report = rsm_update(problem, cfg, initial_design=(X0, t0))
+    X0, t0 = rsm_start_design(problem, cfg)
+    report = rsm_update(problem, cfg)
     X1, t1 = report.design
     assert X1.shape == X0.shape and t1.shape == t0.shape
     assert t1.max() <= t0.max()
@@ -339,9 +364,8 @@ def test_rsm_replace_worst_keeps_design_size(default_problem):
 def test_rsm_reports_design_best_cost(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
-    t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
-    report = rsm_update(problem, cfg, initial_design=(X0, t0))
+    _, t0 = rsm_start_design(problem, cfg)
+    report = rsm_update(problem, cfg)
     assert report.design_best_cost == t0.min()
     assert report.final_cost <= report.design_best_cost
 
@@ -365,15 +389,24 @@ def test_rsm_deterministic(default_problem):
     assert r1.fe_evaluations == r2.fe_evaluations
 
 
-def test_rsm_nonfinite_design_cost_raises(default_problem):
+def test_rsm_nonfinite_design_cost_raises(default_problem, monkeypatch):
     problem, _ = default_problem
+    solve = femupdate.updating.solve_observed
+    calls = []
+
+    def failing_eighth(*args):
+        calls.append(None)
+        if len(calls) == 8:
+            raise EigenSolveError("injected failure")
+        return solve(*args)
+
+    monkeypatch.setattr(femupdate.updating, "solve_observed", failing_eighth)
     cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
-    t0 = np.array([full_objective(problem, x, EvalBudget()) for x in X0])
-    t0[7] = np.inf
-    # surrogate training rejects the design instead of ending the loop silently
+    # a failed design solve costs +inf; surrogate training rejects the
+    # design instead of ending the loop silently
     with pytest.raises(ValueError, match="finite"):
-        rsm_update(problem, cfg, initial_design=(X0, t0))
+        rsm_update(problem, cfg)
+    assert len(calls) == cfg.n_samples  # the whole design was scored first
 
 
 def test_rsm_rejects_oversized_net(default_problem):
@@ -381,24 +414,6 @@ def test_rsm_rejects_oversized_net(default_problem):
     # 20 hidden units on 12 inputs make 281 weights for 40 design points
     with pytest.raises(ValueError, match="weights"):
         rsm_update(problem, small_rsm_config(m_hidden=20))
-
-
-def test_rsm_rejects_design_shape_mismatch(default_problem):
-    problem, _ = default_problem
-    cfg = small_rsm_config()
-    with pytest.raises(ValueError, match="design"):
-        rsm_update(problem, cfg, initial_design=(np.zeros((3, 12)), np.zeros(3)))
-
-
-def test_rsm_rejects_design_outside_bounds(default_problem):
-    problem, _ = default_problem
-    cfg = small_rsm_config()
-    X0 = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
-    X0[5, 3] = 1.01 * problem.bounds.upper[3]
-    X0[9, 0] = 0.5 * problem.bounds.lower[0]
-    # the surrogate scales inputs by the bounds; outside points leave [-1, 1]
-    with pytest.raises(ValueError, match="row 5 lies outside the bounds"):
-        rsm_update(problem, cfg, initial_design=(X0, np.ones(cfg.n_samples)))
 
 
 # ---------------------------------------------------------------- GA / SA

@@ -130,7 +130,17 @@ class SystemMatrices:
 
 
 def _inverse_cholesky(mass: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(np.linalg.cholesky(mass))
+    """W = L^-1 with entries below sqrt(tiny) * max|W| in magnitude set to 0.
+
+    On fine meshes L^-1 decays to subnormal numbers far from the diagonal,
+    and every product with a subnormal operand runs many times slower. A
+    dropped entry changes W K W^T by less than 1e-150 relative, far below
+    the backward error of the eigensolver.
+    """
+    w = np.linalg.inv(np.linalg.cholesky(mass))
+    magnitude = np.abs(w)
+    w[magnitude < np.sqrt(np.finfo(float).tiny) * magnitude.max()] = 0.0
+    return w
 
 
 def element_stiffness(ei: float, length: float) -> np.ndarray:
@@ -203,6 +213,28 @@ def _assembly_blocks(structure: BeamStructure):
     return cached
 
 
+def check_moduli(structure: BeamStructure, moduli) -> np.ndarray:
+    """moduli as a float array; ValueError unless one finite, positive value per element."""
+    moduli = np.asarray(moduli, dtype=float)
+    if moduli.shape != (structure.n_elements,):
+        raise ValueError(
+            f"expected {structure.n_elements} moduli, got shape {moduli.shape}")
+    # fails on a NaN too: min() then is NaN
+    if not (moduli.min() > 0.0 and moduli.max() < np.inf):
+        raise ValueError("all moduli must be finite and strictly positive")
+    return moduli
+
+
+def stiffness_entries(structure: BeamStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(entries, k_unit): assembled stiffness K has K.flat[entries] = moduli @ k_unit.
+
+    Every other entry of K is zero. Both arrays are cached on the
+    structure and shared; callers must not modify them.
+    """
+    _, k_unit, entries, _, _ = _assembly_blocks(structure)
+    return entries, k_unit
+
+
 def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> SystemMatrices:
     """Assemble global consistent-mass and bending-stiffness matrices.
 
@@ -221,12 +253,7 @@ def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> Syst
     """
     if moduli is None:
         moduli = structure.moduli()
-    moduli = np.asarray(moduli, dtype=float)
-    if moduli.shape != (structure.n_elements,):
-        raise ValueError(
-            f"expected {structure.n_elements} moduli, got shape {moduli.shape}")
-    if np.any(moduli <= 0.0) or not np.all(np.isfinite(moduli)):
-        raise ValueError("all moduli must be finite and strictly positive")
+    moduli = check_moduli(structure, moduli)
 
     mass, k_unit, entries, keep, w = _assembly_blocks(structure)
     K = np.zeros(mass.shape)

@@ -11,6 +11,7 @@ would bring a second thread pool, and the two spin against each other.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,18 +99,25 @@ class ModalData:
     def at_coordinates(self, dofs) -> "ModalData":
         """Restrict mode shapes to the given global DOF indices."""
         dofs = np.atleast_1d(np.asarray(dofs, dtype=int))
-        cmap = self.coordinate_map
-        # the map need not be ascending: look rows up through its sort order
-        order = np.argsort(cmap, kind="stable")
-        pos = np.searchsorted(cmap, dofs, sorter=order)
-        if np.any(pos >= cmap.size) or np.any(cmap[rows := order[pos]] != dofs):
-            raise ValueError("requested DOFs are not observed coordinates of this modal set")
+        rows = coordinate_rows(self.coordinate_map, dofs)
         return ModalData(
             frequencies=self.frequencies.copy(),
             mode_shapes=self.mode_shapes[rows, :],
             coordinate_map=dofs.copy(),
             rigid=self.rigid.copy(),
         )
+
+
+def coordinate_rows(coordinate_map: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Row of each of dofs in coordinate_map, which need not be ascending.
+
+    Raises ValueError if a DOF is not in the map.
+    """
+    order = np.argsort(coordinate_map, kind="stable")
+    pos = np.searchsorted(coordinate_map, dofs, sorter=order)
+    if (pos >= coordinate_map.size).any() or (coordinate_map[rows := order[pos]] != dofs).any():
+        raise ValueError("requested DOFs are not observed coordinates of this modal set")
+    return rows
 
 
 @dataclass
@@ -131,13 +139,15 @@ def _count_rigid(eigenvalues: np.ndarray) -> int:
     Scans candidate split points from the most inclusive down, so small
     positive noise eigenvalues of free-free models are still flagged.
     """
-    n = eigenvalues.size
-    limit = min(n, 7)
-    for i in range(limit - 1, -1, -1):
-        lam = eigenvalues[i]
-        if lam <= 0.0:
-            continue
-        if i == 0 or np.max(np.abs(eigenvalues[:i])) < RIGID_RATIO * lam:
+    lams = eigenvalues[:7].tolist()
+    # tops[i] = max |lams[:i]|, NaN from the first NaN on, as np.max gives it
+    tops = [0.0]
+    for v in lams:
+        top = tops[-1]
+        tops.append(abs(v) if abs(v) > top or v != v else top)
+    for i in range(len(lams) - 1, 0, -1):
+        lam = lams[i]
+        if lam > 0.0 and tops[i] < RIGID_RATIO * lam:
             return i
     return 0
 
@@ -183,30 +193,35 @@ def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
     # phi = L^-T y keeps y^T y = 1 equivalent to phi^T M phi = 1
     phi = W.T @ Y[:, :n_modes]
 
+    n_rigid = min(rigid_count, n_modes)
     rigid = np.zeros(n_modes, dtype=bool)
-    rigid[:min(rigid_count, n_modes)] = True
-    omega2 = np.where(rigid, np.maximum(lam_sel, 0.0), lam_sel)
-    if np.any(omega2 < 0.0):
+    rigid[:n_rigid] = True
+    omega2 = lam_sel.copy()
+    omega2[:n_rigid] = np.maximum(lam_sel[:n_rigid], 0.0)
+    if (omega2 < 0.0).any():
         raise EigenSolveError(
             f"negative elastic eigenvalue {omega2.min():.3e}; model is not PSD")
 
-    elastic = ~rigid
-    if np.any(elastic):
-        k_phi = K @ phi[:, elastic]
-        res = k_phi - (M @ phi[:, elastic]) * lam_sel[elastic]
-        rel = np.linalg.norm(res, axis=0) / np.linalg.norm(k_phi, axis=0)
-        if np.any(rel > RESIDUAL_TOL):
+    if n_rigid < n_modes:  # the elastic modes are the trailing ones
+        phi_e = phi[:, n_rigid:]
+        k_phi = K @ phi_e
+        res = k_phi - (M @ phi_e) * lam_sel[n_rigid:]
+        # column 2-norms, summed as numpy.linalg.norm(., axis=0) sums them
+        rel = np.sqrt((res * res).sum(axis=0)) / np.sqrt((k_phi * k_phi).sum(axis=0))
+        if (rel > RESIDUAL_TOL).any():
             i = int(np.argmax(rel))
             raise EigenSolveError(
                 f"eigen residual {rel[i]:.3e} exceeds {RESIDUAL_TOL:.1e} "
-                f"(worst of {int(elastic.sum())} elastic modes)")
+                f"(worst of {n_modes - n_rigid} elastic modes)")
 
-    return ModalData(
-        frequencies=np.sqrt(omega2),
-        mode_shapes=phi,
-        coordinate_map=matrices.dof_map.copy(),
-        rigid=rigid,
-    )
+    # valid by construction, so ModalData's checks are skipped: omega2 is
+    # ascending (eigh sorts) and >= 0, one shape column and flag per mode
+    modes = object.__new__(ModalData)
+    modes.frequencies = np.sqrt(omega2)
+    modes.mode_shapes = phi
+    modes.coordinate_map = matrices.dof_map.copy()
+    modes.rigid = rigid
+    return modes
 
 
 def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
@@ -229,69 +244,90 @@ def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
         raise ValueError("mode-shape sets must share observed coordinates")
     na = np.einsum("ki,ki->i", A, A)
     nb = np.einsum("ki,ki->i", B, B)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
+    if np.count_nonzero(na) < na.size or np.count_nonzero(nb) < nb.size:
         raise ValueError("zero-norm mode shape")
     cross = np.einsum("ki,kj->ij", A, B)
-    return cross**2 / np.outer(na, nb)
+    return cross**2 / (na[:, None] * nb)
 
 
 def cost(calc: ModalData, measured: ModalData, weights: CostWeights,
-         pairing: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+         pairing: tuple[np.ndarray, np.ndarray]) -> float:
     """Modal-distance error between paired calculated and measured modes.
 
-    E = sum_i gamma_i ((w_i^m - w_i^calc) / w_i^m)^2
-        + beta * sum_i (1 - MAC_i)
-
-    Without a pairing, calc and measured are compared mode-for-mode and
-    must have equal mode counts. A pairing is what pair_modes returns:
-    one calc column index per measured mode, which may reorder modes as
-    mode crossings swap the spectrum, and the MAC of each chosen pair,
-    which the cost then uses instead of building the MAC matrix again.
+    The pairing is what pair_modes returns: one calc column index per
+    measured mode, which may reorder modes as mode crossings swap the
+    spectrum, and the MAC of each chosen pair. Checks the sets against
+    each other, then evaluates modal_distance.
     """
-    if pairing is None:
-        if calc.n_modes != measured.n_modes:
-            raise ValueError("mode counts must match (pair modes first)")
-        idx, paired_mac = np.arange(measured.n_modes), None
-    else:
-        idx, paired_mac = pairing
-        idx = np.asarray(idx, dtype=int)
-        if idx.size != measured.n_modes:
-            raise ValueError("need one paired calc mode per measured mode")
+    idx, paired_mac = pairing
+    idx = np.asarray(idx, dtype=int)
+    if idx.size != measured.n_modes:
+        raise ValueError("need one paired calc mode per measured mode")
     if calc.mode_shapes.shape[0] != measured.mode_shapes.shape[0]:
         raise ValueError("mode shapes must share observed coordinates")
     if weights.gamma.size != measured.n_modes:
         raise ValueError("need one gamma weight per mode")
-    if np.any(measured.frequencies == 0.0):
+    if (measured.frequencies == 0.0).any():
         raise ValueError("measured frequencies must be non-zero")
-    if paired_mac is None:
-        paired_mac = np.diag(mac(calc.mode_shapes, measured.mode_shapes))
-    rel = (measured.frequencies - calc.frequencies[idx]) / measured.frequencies
+    return modal_distance(calc.frequencies, measured.frequencies, weights.gamma,
+                          weights.beta, (idx, paired_mac))
+
+
+def modal_distance(frequencies: np.ndarray, measured_frequencies: np.ndarray,
+                   gamma: np.ndarray, beta: float,
+                   pairing: tuple[np.ndarray, np.ndarray]) -> float:
+    """The cost formula on arrays, without checks (see cost).
+
+    E = sum_i gamma_i ((w_i^m - w_i^calc) / w_i^m)^2
+        + beta * sum_i (1 - MAC_i)
+
+    where calc mode idx[i] is paired with measured mode i at MAC_i.
+    """
+    idx, paired_mac = pairing
+    rel = (measured_frequencies - frequencies[idx]) / measured_frequencies
     # MAC lies in [0, 1]; clipping keeps roundoff from making the cost negative
-    paired_mac = np.clip(paired_mac, 0.0, 1.0)
-    return float(np.sum(weights.gamma * rel**2) + weights.beta * np.sum(1.0 - paired_mac))
+    paired_mac = np.minimum(np.maximum(paired_mac, 0.0), 1.0)
+    return float((gamma * rel**2).sum() + beta * (1.0 - paired_mac).sum())
 
 
 def pair_modes(calc: ModalData, measured: ModalData) -> tuple[np.ndarray, np.ndarray]:
     """Greedy MAC-maximizing assignment of calculated modes to measured ones.
 
-    Each measured mode, in order, takes the unused calculated elastic mode
-    with the highest MAC. Rigid-body modes never participate. Returns the
-    selected calc-mode indices, one per measured mode, and the MAC of
-    each selected pair, both taken from one MAC matrix.
+    Returns the selected calc-mode indices, one per measured mode, and
+    the MAC of each selected pair (see pair_shapes).
     """
-    elastic_idx = np.flatnonzero(~calc.rigid)
-    if elastic_idx.size < measured.n_modes:
+    return pair_shapes(calc.mode_shapes, calc.rigid, measured.mode_shapes)
+
+
+def pair_shapes(shapes: np.ndarray, rigid: np.ndarray,
+                measured_shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairing of pair_modes on arrays: calc shapes with rigid flags per column.
+
+    Each measured mode, in order, takes the unused calculated elastic mode
+    with the highest MAC (the first on ties). Rigid-body modes never
+    participate. Both results come from one MAC matrix.
+    """
+    n = measured_shapes.shape[1]
+    elastic_idx = (~rigid).nonzero()[0]
+    if elastic_idx.size < n:
         raise ValueError(
             f"{elastic_idx.size} elastic calculated modes cannot cover "
-            f"{measured.n_modes} measured modes")
-    m = mac(calc.mode_shapes[:, elastic_idx], measured.mode_shapes)
-    used = np.zeros(elastic_idx.size, dtype=bool)
-    chosen = np.empty(measured.n_modes, dtype=int)
-    for j in range(measured.n_modes):
-        col = np.where(used, -1.0, m[:, j])
-        i = int(np.argmax(col))
-        used[i] = True
-        chosen[j] = i
-        if m[i, j] < 0.5:
-            log.warning("measured mode %d paired with MAC %.3f < 0.5", j, m[i, j])
-    return elastic_idx[chosen], m[chosen, np.arange(measured.n_modes)]
+            f"{n} measured modes")
+    m = mac(shapes[:, elastic_idx], measured_shapes)
+    chosen, paired = [], []
+    for j, column in enumerate(m.T.tolist()):
+        # np.argmax over the column with taken modes at -1: the first
+        # maximum, or the first NaN
+        i, best = 0, -math.inf
+        for k, v in enumerate(column):
+            if k in chosen:
+                v = -1.0
+            if v > best or v != v:
+                i, best = k, v
+                if v != v:
+                    break
+        chosen.append(i)
+        paired.append(column[i])
+        if column[i] < 0.5:
+            log.warning("measured mode %d paired with MAC %.3f < 0.5", j, column[i])
+    return elastic_idx[chosen], np.array(paired)

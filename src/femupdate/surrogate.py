@@ -94,9 +94,14 @@ class TrainingSet:
         return self.targets.size
 
 
-def _hidden(net: SurrogateNet, x_scaled: np.ndarray) -> np.ndarray:
+def _hidden(w1: np.ndarray, x_scaled: np.ndarray) -> np.ndarray:
     # x_scaled: (n, d) -> activations (n, m)
-    return np.tanh(x_scaled @ net.w1[:, :-1].T + net.w1[:, -1])
+    return np.tanh(x_scaled @ w1[:, :-1].T + w1[:, -1])
+
+
+def _output(z: np.ndarray, w2: np.ndarray, out_scale: float, out_center: float) -> np.ndarray:
+    # activations (n, m) -> predictions in cost units (n,)
+    return (z @ w2[:-1] + w2[-1]) * out_scale + out_center
 
 
 def forward(net: SurrogateNet, x: np.ndarray) -> float | np.ndarray:
@@ -111,12 +116,10 @@ def forward(net: SurrogateNet, x: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"expected a vector or an (n, d_in) batch, got {x.ndim}-D input")
     if x.shape[-1] != net.d_in:
         raise ValueError(f"expected {net.d_in} inputs, got {x.shape[-1]}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    xb = np.atleast_2d(x)
-    z = _hidden(net, net.scale_inputs(xb))
-    y = z @ net.w2[:-1] + net.w2[-1]
-    y = y * net.out_scale + net.out_center
+    z = _hidden(net.w1, net.scale_inputs(x[None] if single else x))
+    y = _output(z, net.w2, net.out_scale, net.out_center)
     return float(y[0]) if single else y
 
 
@@ -128,13 +131,16 @@ def loss(net: SurrogateNet, data: TrainingSet) -> float:
 
 def grad(net: SurrogateNet, data: TrainingSet) -> np.ndarray:
     """Exact backpropagation gradient of loss() w.r.t. the flat weights."""
-    xs = net.scale_inputs(data.inputs)          # (n, d)
-    z = _hidden(net, xs)                        # (n, m)
-    y = (z @ net.w2[:-1] + net.w2[-1]) * net.out_scale + net.out_center
-    r = data.targets - y                        # (n,)
-    dy = -2.0 * r * net.out_scale               # dE/dy_scaled, (n,)
+    return _grad(net.w1, net.w2, net.scale_inputs(data.inputs), data.targets,
+                 net.out_scale, net.out_center)
+
+
+def _grad(w1, w2, xs, targets, out_scale, out_center) -> np.ndarray:
+    z = _hidden(w1, xs)                         # (n, m); xs is (n, d)
+    r = targets - _output(z, w2, out_scale, out_center)  # (n,)
+    dy = -2.0 * r * out_scale                   # dE/dy_scaled, (n,)
     g2 = np.concatenate([z.T @ dy, [dy.sum()]])
-    da = np.outer(dy, net.w2[:-1]) * (1.0 - z**2)   # (n, m)
+    da = np.outer(dy, w2[:-1]) * (1.0 - z**2)   # (n, m)
     g1 = np.column_stack([da.T @ xs, da.sum(axis=0)])
     return np.concatenate([g1.ravel(), g2])
 
@@ -170,6 +176,33 @@ def target_scaling(targets: np.ndarray) -> tuple[float, float]:
     return float(t.mean()), span if span > 0.0 else 1.0
 
 
+def _flat_loss_and_grad(net: SurrogateNet, data: TrainingSet):
+    """f(w), df(w): loss() and grad() of net.with_flat_weights(w), bit for bit.
+
+    They compute on slices of w, with the inputs scaled once, and raise
+    ValueError("weights must be finite") where SurrogateNet would.
+    """
+    xs = net.scale_inputs(data.inputs)
+    targets = data.targets
+    shape1, n1 = net.w1.shape, net.w1.size
+    out_scale, out_center = net.out_scale, net.out_center
+
+    def split(w):
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        return w[:n1].reshape(shape1), w[n1:]
+
+    def f(w):
+        w1, w2 = split(w)
+        r = targets - _output(_hidden(w1, xs), w2, out_scale, out_center)
+        return float(r @ r)
+
+    def df(w):
+        return _grad(*split(w), xs, targets, out_scale, out_center)
+
+    return f, df
+
+
 def train(net: SurrogateNet, data: TrainingSet, cycles: int) -> SurrogateNet:
     """Scaled conjugate gradient training (Moller 1993), full batch.
 
@@ -184,14 +217,7 @@ def train(net: SurrogateNet, data: TrainingSet, cycles: int) -> SurrogateNet:
             f"net has {net.weight_count} weights but only {data.n_samples} "
             "training samples; need weights < samples")
 
-    work = net.with_flat_weights(net.flat_weights())
-
-    def f(w):
-        return loss(work.with_flat_weights(w), data)
-
-    def df(w):
-        return grad(work.with_flat_weights(w), data)
-
+    f, df = _flat_loss_and_grad(net, data)
     w = net.flat_weights()
     n = w.size
     sigma0 = 1.0e-4

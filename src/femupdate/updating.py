@@ -9,15 +9,20 @@ EvalBudget so the methods can be compared by evaluation count.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .beam import BeamStructure, assemble
-from .modal import CostWeights, EigenSolveError, ModalData, cost, pair_modes, solve_modes
+from .beam import BeamStructure, assemble, check_moduli, stiffness_entries
+from .modal import (
+    TWO_PI, CostWeights, EigenSolveError, ModalData, coordinate_rows, modal_distance,
+    pair_shapes, solve_modes,
+)
 from .optimizers import (
     Bounds, EvalBudget, GaConfig, HistoryRecord, SaConfig, ga_optimize,
     row_by_row, sa_optimize,
@@ -63,6 +68,38 @@ class UpdatingProblem:
 
     def initial_parameters(self) -> np.ndarray:
         return self.structure.moduli()
+
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        # built on the first evaluation; a problem is not modified after it
+        return _Kernel(self)
+
+
+class _Kernel:
+    """Per-problem arrays of one FE evaluation (see _observed_modes).
+
+    system holds the structure's validated mass, mass factor and DOF map;
+    each candidate solves a shallow copy of it that holds its own
+    stiffness, so no check runs twice and calls share no work array.
+    rows are the observed DOFs' rows in the reduced DOF order. Building
+    raises ValueError if the measured data cannot be compared: an
+    observed DOF the structure constrains, or a zero measured frequency.
+    """
+
+    def __init__(self, problem: UpdatingProblem):
+        structure = problem.structure
+        self.structure = structure
+        self.entries, self.k_unit = stiffness_entries(structure)
+        self.system = assemble(structure, np.ones(structure.n_elements))
+        self.n_solve = min(problem.n_modes + RIGID_ALLOWANCE, self.system.dof_count)
+        measured = problem.measured
+        self.rows = coordinate_rows(self.system.dof_map, measured.coordinate_map)
+        if (measured.frequencies == 0.0).any():
+            raise ValueError("measured frequencies must be non-zero")
+        self.frequencies = measured.frequencies
+        self.shapes = measured.mode_shapes
+        self.gamma = problem.weights.gamma
+        self.beta = problem.weights.beta
 
 
 @dataclass
@@ -143,14 +180,35 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
 
 
 def _solve_cost(problem: UpdatingProblem, params: np.ndarray) -> float:
+    kernel = problem._kernel
     try:
-        calc = solve_observed(problem.structure, params, problem.n_modes,
-                              problem.measured.coordinate_map)
+        modes = _observed_modes(kernel, params)
     except (EigenSolveError, ValueError) as exc:
         log.warning("full objective failed for a candidate: %s", exc)
         return math.inf
-    pairing = pair_modes(calc, problem.measured)
-    return cost(calc, problem.measured, problem.weights, pairing=pairing)
+    return _paired_cost(kernel, *modes)[1]
+
+
+def _observed_modes(kernel: _Kernel, params: np.ndarray):
+    """(frequencies, observed mode-shape rows, rigid flags) of one candidate.
+
+    The FE kernel: equal, bit for bit, to the arrays of solve_observed on
+    the problem's measured coordinates. Raises what solve_observed raises
+    for a failed candidate: ValueError for invalid moduli, EigenSolveError.
+    """
+    moduli = check_moduli(kernel.structure, params)
+    system = copy.copy(kernel.system)  # shares the mass, its factor and the DOF map
+    system.stiffness = np.zeros(system.mass.shape)
+    system.stiffness.flat[kernel.entries] = moduli @ kernel.k_unit
+    modes = solve_modes(system, kernel.n_solve)
+    return modes.frequencies, modes.mode_shapes[kernel.rows], modes.rigid
+
+
+def _paired_cost(kernel: _Kernel, frequencies, shapes, rigid):
+    """(pairing, cost) of observed modes against the measured ones."""
+    pairing = pair_shapes(shapes, rigid, kernel.shapes)
+    return pairing, modal_distance(frequencies, kernel.frequencies, kernel.gamma,
+                                   kernel.beta, pairing)
 
 
 def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
@@ -195,15 +253,13 @@ def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
 
 def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
     """Paired frequencies (Hz), percent errors, mean MAC diagonal and cost."""
-    solved = solve_observed(problem.structure, params, problem.n_modes,
-                            problem.measured.coordinate_map)
-    pairing = pair_modes(solved, problem.measured)
-    idx, paired_mac = pairing
+    kernel = problem._kernel
+    frequencies, shapes, rigid = _observed_modes(kernel, params)
+    (idx, paired_mac), c = _paired_cost(kernel, frequencies, shapes, rigid)
     meas = problem.measured
-    hz = solved.frequencies_hz[idx]
+    hz = frequencies[idx] / TWO_PI
     errors = 100.0 * (hz - meas.frequencies_hz) / meas.frequencies_hz
-    return (hz, errors, float(paired_mac.mean()),
-            cost(solved, meas, problem.weights, pairing=pairing))
+    return hz, errors, float(paired_mac.mean()), c
 
 
 def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
@@ -253,8 +309,9 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
 
     Total FE evaluations are n_samples + (iterations performed), each
     one a full_objective call. The returned parameters are always
-    full-model evaluated. A non-finite design cost, such as a failed
-    solve, makes surrogate training raise ValueError.
+    full-model evaluated. Design points with a non-finite cost, such as
+    a failed solve, are dropped with a warning; training raises
+    ValueError if too few points remain for the net.
     """
     t0 = time.perf_counter()
     budget = EvalBudget()
@@ -262,6 +319,14 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
 
     X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     t = np.array([full_objective(problem, x, budget) for x in X])
+    finite = np.isfinite(t)
+    if not finite.all():
+        # as GA and SA reject such a candidate, the design goes on without it
+        log.warning("RSM design: dropped %d of %d points with a non-finite cost",
+                    t.size - finite.sum(), t.size)
+        X, t = X[finite], t[finite]
+        if not t.size:
+            raise ValueError("no RSM design point has a finite cost")
 
     best_i = int(np.argmin(t))
     best_x, best_cost = X[best_i].copy(), float(t[best_i])

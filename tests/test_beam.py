@@ -7,6 +7,7 @@ from femupdate.beam import (
     BeamElement, BeamStructure, assemble, element_mass, element_stiffness,
 )
 from femupdate.modal import solve_modes
+from femupdate.scenario import ScenarioSpec, h_beam_structure
 
 # Closed-form Euler-Bernoulli (beta*L) roots for the first two modes.
 CANTILEVER_BETAL = (1.875104069, 4.694091133)
@@ -147,3 +148,43 @@ def test_branched_constrained_assembly_matches_element_sum():
     np.testing.assert_allclose(sys.mass, M[keep], rtol=1e-14, atol=0.0)
     # DOFs 4, 5 (node 2) and 6 (node 3) are coupled only through node 1
     assert sys.stiffness[2, 4] == 0.0 and sys.stiffness[3, 4] == 0.0
+
+
+# ---------------------------------------------------------------- the H fixture
+
+
+def refined_h():
+    """The H fixture with every run refined 4x (48 elements, 98 DOFs)."""
+    return h_beam_structure(ScenarioSpec(left_flange_elements=16, right_flange_elements=20,
+                                         crossbar_elements=12))
+
+
+def default_h():
+    return h_beam_structure(ScenarioSpec())
+
+
+@pytest.mark.parametrize("structure", [default_h, refined_h])
+def test_assembled_stiffness_exactly_symmetric(structure):
+    s = structure()
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        K = assemble(s, rng.uniform(6.0e10, 8.0e10, s.n_elements)).stiffness
+        np.testing.assert_array_equal(K, K.T)
+
+
+def test_mass_factor_holds_no_subnormal_numbers():
+    tiny = np.finfo(float).tiny
+    m = assemble(refined_h())
+    raw = np.linalg.inv(np.linalg.cholesky(m.mass))
+    assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0  # what the cut removes
+    w = m.mass_factor_inv
+    assert not ((w != 0.0) & (np.abs(w) < tiny)).any()
+    # the entries kept are those of the plain inverse factor
+    kept = w != 0.0
+    np.testing.assert_array_equal(w[kept], raw[kept])
+
+
+def test_mass_factor_of_the_default_h_is_the_plain_inverse():
+    m = assemble(default_h())
+    np.testing.assert_array_equal(m.mass_factor_inv,
+                                  np.linalg.inv(np.linalg.cholesky(m.mass)))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from femupdate.optimizers import (
-    Bounds, EvalBudget, GaConfig, SaConfig, _next_generation, arithmetic_crossover,
-    ga_optimize, geometric_select, metropolis_accept, nonuniform_mutate,
-    row_by_row, sa_optimize,
+    Bounds, EvalBudget, GaConfig, SaConfig, _geometric_ranks, _mutate, _next_generation,
+    arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
+    nonuniform_mutate, row_by_row, sa_optimize,
 )
 
 
@@ -302,6 +302,50 @@ def test_vector_generation_matches_scalar_operators(seed):
                                         Draws([directions[j], steps[j]], [coords[j]]))
     assert crossed.any() and not crossed.all() and mutated.size > 0
     np.testing.assert_array_equal(new, np.vstack([best_x, *children]))
+
+
+def uniform_draws_next_generation(pop, costs, best_x, gen, cfg, bounds, rng):
+    """The generation step as first written with rng.uniform draws: the oracle."""
+    size, d = pop.shape
+    ranked = pop[np.argsort(costs, kind="stable")]
+    pairs = size // 2
+    ranks = _geometric_ranks(rng.uniform(size=(pairs, 2)), cfg.selection_q, size).astype(int)
+    c1, c2 = ranked[ranks[:, 0]], ranked[ranks[:, 1]]
+    crossed = rng.uniform(size=pairs) < cfg.crossover_rate
+    a = rng.uniform(size=(int(crossed.sum()), 1))
+    c1[crossed], c2[crossed] = (a * c1[crossed] + (1.0 - a) * c2[crossed],
+                                (1.0 - a) * c1[crossed] + a * c2[crossed])
+    children = np.stack([c1, c2], axis=1).reshape(-1, d)[:size - 1]
+    rows = np.flatnonzero(rng.uniform(size=size - 1) < cfg.mutation_rate)
+    if rows.size:
+        i = rng.integers(d, size=rows.size)
+        toward_upper = rng.uniform(size=rows.size) < 0.5
+        r = rng.uniform(size=rows.size)
+        expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
+        children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
+                                    toward_upper, r, expo)
+    return np.vstack([best_x, children])
+
+
+@pytest.mark.parametrize("size", [7, 8])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.6, 1.0])
+def test_next_generation_matches_uniform_draws_oracle(size, crossover_rate):
+    cfg = GaConfig(population_size=size, generations=6, crossover_rate=crossover_rate,
+                   mutation_rate=0.5, seed=0)
+    b = Bounds(lower=np.linspace(-3.0, 1.0, 5), upper=np.linspace(2.0, 9.0, 5))
+    setup = np.random.default_rng(size)
+    pop = setup.uniform(b.lower, b.upper, (size, b.dim))
+    rng, oracle_rng = np.random.default_rng(77), np.random.default_rng(77)
+    for gen in range(1, cfg.generations):
+        costs = setup.uniform(size=size)
+        costs[1] = costs[3]  # a tie, broken by the stable sort
+        best_x = pop[np.argmin(costs)].copy()
+        new = _next_generation(pop, costs, best_x, gen, cfg, b, rng)
+        expected = uniform_draws_next_generation(pop, costs, best_x, gen, cfg, b, oracle_rng)
+        np.testing.assert_array_equal(new, expected)
+        # the same draws were made: both generators are in the same state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        pop = new
 
 
 def test_ga_evaluates_each_generation_in_one_batch():

@@ -1,15 +1,22 @@
 """Property tests: MAC range and scale invariance, cost sign, pairing validity,
-and the pairing as the one source of the cost's MAC values.
+the pairing as the one source of the cost's MAC values, and the FE kernel
+of full_objective against the ModalData path.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs and writes nothing to the working tree.
 """
 
+from functools import cache
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from femupdate.modal import CostWeights, ModalData, cost, mac, pair_modes
+from femupdate.optimizers import EvalBudget
+from femupdate.scenario import ScenarioSpec, build_scenario
+from femupdate.updating import full_objective, solve_observed
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=75)
 
@@ -85,14 +92,16 @@ def test_mac_invariant_to_column_scaling(shapes, scale_a, column, factor):
 @given(paired_sets())
 def test_cost_zero_for_identical_data(sets):
     d, _, weights = sets
-    assert cost(d, d, weights) == 0.0
+    # identical columns may tie, so pair mode i with mode i
+    pairing = np.arange(d.n_modes), np.diag(mac(d.mode_shapes, d.mode_shapes))
+    assert cost(d, d, weights, pairing) == 0.0
 
 
 @PROPERTY
 @given(paired_sets())
 def test_cost_nonnegative(sets):
     calc, measured, weights = sets
-    assert cost(calc, measured, weights) >= 0.0
+    assert cost(calc, measured, weights, pair_modes(calc, measured)) >= 0.0
 
 
 @PROPERTY
@@ -119,3 +128,32 @@ def test_pairing_mac_and_cost_match_a_fresh_mac_matrix(inputs, data):
     expected = float(np.sum(weights.gamma * rel**2)
                      + weights.beta * np.sum(1.0 - np.clip(fresh, 0.0, 1.0)))
     assert cost(calc, measured, weights, pairing=(pairing, paired_mac)) == expected
+
+
+KERNEL_FIXTURES = {
+    "h12": ScenarioSpec(),
+    "h12-noisy": ScenarioSpec(noise_std=0.02),
+    "h12-descending-dofs": ScenarioSpec(observed_dofs=tuple(range(24, -1, -2))),
+    # every run refined 4x, the crossbar (elements 6-17) damaged
+    "h48": ScenarioSpec(left_flange_elements=16, right_flange_elements=20,
+                        crossbar_elements=12,
+                        ground_truth_perturbations=tuple((i, 6.3e10) for i in range(6, 18))),
+}
+
+
+@cache
+def kernel_problem(name):
+    return build_scenario(KERNEL_FIXTURES[name])[0]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FIXTURES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_kernel_cost_equals_the_modal_data_path(name, data):
+    problem = kernel_problem(name)
+    u = data.draw(arrays(float, problem.n_params, elements=st.floats(0.0, 1.0)))
+    x = problem.bounds.lower + u * problem.bounds.range
+    calc = solve_observed(problem.structure, x, problem.n_modes,
+                          problem.measured.coordinate_map)
+    oracle = cost(calc, problem.measured, problem.weights, pair_modes(calc, problem.measured))
+    assert full_objective(problem, x, EvalBudget()) == oracle

@@ -7,8 +7,8 @@ import pytest
 
 from femupdate.optimizers import Bounds
 from femupdate.surrogate import (
-    SurrogateNet, TrainingSet, forward, grad, init_net, loss, target_scaling,
-    train,
+    SurrogateNet, TrainingSet, _flat_loss_and_grad, forward, grad, init_net, loss,
+    target_scaling, train,
 )
 
 
@@ -252,3 +252,23 @@ def test_train_does_not_mutate_input_net():
     X = rng.uniform(-1.0, 1.0, (30, 2))
     train(net, TrainingSet(inputs=X, targets=X[:, 0]), cycles=20)
     np.testing.assert_array_equal(net.w1, w1_before)
+
+
+@pytest.mark.parametrize("d_in, m_hidden, n", [(3, 2, 20), (12, 8, 150)])
+def test_train_objective_is_loss_and_grad_bit_for_bit(d_in, m_hidden, n):
+    rng = np.random.default_rng(43)
+    net = random_net(rng, d_in, m_hidden)
+    data = TrainingSet(inputs=rng.standard_normal((n, d_in)), targets=rng.standard_normal(n))
+    f, df = _flat_loss_and_grad(net, data)
+    for offset in range(4):
+        # SCG hands over fresh vectors; a slice at an offset checks that
+        # memory alignment does not change the sums
+        w = rng.standard_normal(net.weight_count + offset)[offset:]
+        oracle = net.with_flat_weights(w)
+        assert f(w) == loss(oracle, data)
+        np.testing.assert_array_equal(df(w), grad(oracle, data))
+    for bad in (np.nan, np.inf):
+        w[-1] = bad
+        for fn in (f, df, net.with_flat_weights):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                fn(w)

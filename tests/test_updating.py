@@ -13,12 +13,13 @@ from femupdate.optimizers import (
 )
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import (
-    RsmConfig, compute_gamma_weights, full_objective, rsm_update, ga_update,
-    sa_update, sample_design,
+    RsmConfig, UpdatingProblem, compute_gamma_weights, full_objective, rsm_update,
+    ga_update, sa_update, sample_design,
 )
 import femupdate.modal
 import femupdate.updating
-from femupdate.modal import EigenSolveError, ModalData, mac
+from femupdate.beam import BeamElement, BeamStructure
+from femupdate.modal import CostWeights, EigenSolveError, ModalData, mac
 
 
 @pytest.fixture(scope="module")
@@ -128,21 +129,36 @@ def test_objective_infinite_on_solver_failure(default_problem):
     assert full_objective(problem, bad, EvalBudget()) == np.inf
 
 
+def test_objective_rejects_a_constrained_observed_dof():
+    # a clamped 3-element beam; DOF 0 is fixed but listed as measured
+    nodes = np.column_stack([np.linspace(0.0, 0.3, 4), np.zeros(4)])
+    elements = [BeamElement(i, i + 1, 3.0e-4, 2.5e-9, 2700.0, 7.0e10) for i in range(3)]
+    structure = BeamStructure(nodes=nodes, elements=elements, constrained_dofs=(0, 1))
+    measured = ModalData(frequencies=[100.0, 600.0],
+                         mode_shapes=np.random.default_rng(3).standard_normal((3, 2)),
+                         coordinate_map=[0, 2, 4])
+    problem = UpdatingProblem(structure=structure,
+                              bounds=Bounds(np.full(3, 6.0e10), np.full(3, 8.0e10)),
+                              measured=measured, weights=CostWeights(gamma=[1.0, 1.0], beta=0.75))
+    with pytest.raises(ValueError, match="not observed coordinates"):
+        full_objective(problem, structure.moduli(), EvalBudget())
+
+
 # ---------------------------------------------------------------- cost memo
 # A fresh EvalBudget per call holds no stored costs: it is the oracle.
 
 
 @pytest.fixture()
 def counted_solves(monkeypatch):
-    """Parameter vectors passed to solve_observed, which runs as shipped."""
+    """Parameter vectors passed to the FE kernel's solve, which runs as shipped."""
     seen = []
-    solve = femupdate.updating.solve_observed
+    solve = femupdate.updating._observed_modes
 
-    def counting(structure, moduli, n_modes, observed):
-        seen.append(np.array(moduli, dtype=float))
-        return solve(structure, moduli, n_modes, observed)
+    def counting(kernel, params):
+        seen.append(np.array(params, dtype=float))
+        return solve(kernel, params)
 
-    monkeypatch.setattr(femupdate.updating, "solve_observed", counting)
+    monkeypatch.setattr(femupdate.updating, "_observed_modes", counting)
     return seen
 
 
@@ -207,7 +223,7 @@ def test_nonfinite_candidate_solved_and_logged_every_time(default_problem, count
 
 def test_nonfinite_cost_never_stored(default_problem, counted_solves, monkeypatch):
     problem, truth = default_problem
-    monkeypatch.setattr(femupdate.updating, "cost", lambda *args, **kwargs: np.nan)
+    monkeypatch.setattr(femupdate.updating, "modal_distance", lambda *args: np.nan)
     budget = EvalBudget()
     assert np.isnan(full_objective(problem, truth, budget))
     assert np.isnan(full_objective(problem, truth, budget))
@@ -389,9 +405,9 @@ def test_rsm_deterministic(default_problem):
     assert r1.fe_evaluations == r2.fe_evaluations
 
 
-def test_rsm_nonfinite_design_cost_raises(default_problem, monkeypatch):
+def test_rsm_drops_a_failed_design_point(default_problem, monkeypatch, caplog):
     problem, _ = default_problem
-    solve = femupdate.updating.solve_observed
+    solve = femupdate.updating._observed_modes
     calls = []
 
     def failing_eighth(*args):
@@ -400,13 +416,32 @@ def test_rsm_nonfinite_design_cost_raises(default_problem, monkeypatch):
             raise EigenSolveError("injected failure")
         return solve(*args)
 
-    monkeypatch.setattr(femupdate.updating, "solve_observed", failing_eighth)
+    monkeypatch.setattr(femupdate.updating, "_observed_modes", failing_eighth)
     cfg = small_rsm_config()
-    # a failed design solve costs +inf; surrogate training rejects the
-    # design instead of ending the loop silently
-    with pytest.raises(ValueError, match="finite"):
-        rsm_update(problem, cfg)
-    assert len(calls) == cfg.n_samples  # the whole design was scored first
+    # a failed design solve costs +inf; the RSM goes on without that
+    # point, as GA and SA go on without such a candidate
+    with caplog.at_level("WARNING", logger="femupdate.updating"):
+        report = rsm_update(problem, cfg)
+    X, t = report.design
+    assert X.shape == (cfg.n_samples - 1, problem.n_params) and t.shape == (cfg.n_samples - 1,)
+    assert np.isfinite(t).all()
+    dropped = [r for r in caplog.records if "non-finite cost" in r.getMessage()]
+    assert [r.args[0] for r in dropped] == [1]
+    assert report.fe_evaluations == report.fe_solves == cfg.n_samples + cfg.max_iterations
+    # every design point was solved, plus the report's two modal comparisons
+    assert len(calls) == report.fe_solves + 2
+    assert np.isfinite(report.final_cost)
+
+
+def test_rsm_raises_when_every_design_point_fails(default_problem, monkeypatch):
+    problem, _ = default_problem
+
+    def failing(*args):
+        raise EigenSolveError("injected failure")
+
+    monkeypatch.setattr(femupdate.updating, "_observed_modes", failing)
+    with pytest.raises(ValueError, match="no RSM design point"):
+        rsm_update(problem, small_rsm_config())
 
 
 def test_rsm_rejects_oversized_net(default_problem):

@@ -140,14 +140,10 @@ def _count_rigid(eigenvalues: np.ndarray) -> int:
     positive noise eigenvalues of free-free models are still flagged.
     """
     lams = eigenvalues[:7].tolist()
-    # tops[i] = max |lams[:i]|, NaN from the first NaN on, as np.max gives it
-    tops = [0.0]
-    for v in lams:
-        top = tops[-1]
-        tops.append(abs(v) if abs(v) > top or v != v else top)
     for i in range(len(lams) - 1, 0, -1):
         lam = lams[i]
-        if lam > 0.0 and tops[i] < RIGID_RATIO * lam:
+        # all() rather than max(): a NaN fails the test, as it fails np.max's
+        if lam > 0.0 and all(abs(v) < RIGID_RATIO * lam for v in lams[:i]):
             return i
     return 0
 
@@ -196,8 +192,7 @@ def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
     n_rigid = min(rigid_count, n_modes)
     rigid = np.zeros(n_modes, dtype=bool)
     rigid[:n_rigid] = True
-    omega2 = lam_sel.copy()
-    omega2[:n_rigid] = np.maximum(lam_sel[:n_rigid], 0.0)
+    omega2 = np.where(rigid, np.maximum(lam_sel, 0.0), lam_sel)
     if (omega2 < 0.0).any():
         raise EigenSolveError(
             f"negative elastic eigenvalue {omega2.min():.3e}; model is not PSD")

@@ -9,6 +9,7 @@ enters the model only through element lengths.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,9 +123,10 @@ class SystemMatrices:
     def mass_factor_inv(self) -> np.ndarray:
         """W = L^-1 for the Cholesky factor M = L L^T, computed on first use.
 
-        assemble() sets it from the structure's cache, so the mass is
-        factored once per structure rather than once per solve. Raises
-        numpy.linalg.LinAlgError if the mass is not positive definite.
+        Assembled systems share the factor of their structure's cached
+        template, so the mass is factored once per structure rather than
+        once per solve. Raises numpy.linalg.LinAlgError if the mass is
+        not positive definite.
         """
         return _inverse_cholesky(self.mass)
 
@@ -168,17 +170,20 @@ def element_mass(rho_a: float, length: float) -> np.ndarray:
 
 
 def _assembly_blocks(structure: BeamStructure):
-    """Moduli-independent assembly data, cached on the structure.
+    """Moduli-independent assembly data, validated and cached on the structure.
 
-    Returns (mass, unit_stiffness, entries, keep, mass_factor_inv): the
-    reduced global mass matrix; per element, its unit-modulus stiffness
-    at the flat indices `entries` of the reduced-stiffness entries that
-    any element fills (the global stiffness is the moduli-weighted sum
-    of these rows; dense (n_elements, n, n) blocks would grow with the
-    cube of the mesh); the retained DOF indices; and the inverse Cholesky
-    factor of the mass (None if the mass is not positive definite;
-    solve_modes reports it). Structures are treated as immutable once
-    assembled.
+    Returns (template, k_unit, entries). template is a SystemMatrices
+    holding the reduced global mass, its inverse Cholesky factor (left
+    to solve_modes to report if the mass is not positive definite) and
+    the retained DOF indices, all read-only and shared by every
+    assembled system; its stiffness is zero. k_unit holds, per element,
+    its unit-modulus stiffness at the flat indices `entries` of the
+    reduced-stiffness entries that any element fills, so the stiffness
+    is K.flat[entries] = moduli @ k_unit (dense (n_elements, n, n)
+    blocks would grow with the cube of the mesh). Raises ValueError
+    unless every filled entry's mirror is filled from an identical
+    k_unit column, which makes K exactly symmetric for every moduli
+    vector. Structures are treated as immutable once assembled.
     """
     cached = getattr(structure, "_assembly_cache", None)
     if cached is not None:
@@ -202,37 +207,22 @@ def _assembly_blocks(structure: BeamStructure):
     entries = np.unique(flat)
     k_unit = np.zeros((len(dofs), entries.size))
     k_unit[np.nonzero(filled)[0], np.searchsorted(entries, flat)] = ke[filled]
+    row, col = np.divmod(entries, keep.size)
+    transposed = col * keep.size + row
+    if not (np.array_equal(np.sort(transposed), entries)
+            and np.array_equal(k_unit[:, np.searchsorted(entries, transposed)], k_unit)):
+        raise ValueError("stiffness matrix is not symmetric")
     mass = M[np.ix_(keep, keep)]
+    template = SystemMatrices(mass=mass, stiffness=np.zeros(mass.shape), dof_map=keep)
     try:
-        w = _inverse_cholesky(mass)
-        w.flags.writeable = False  # shared by every assembled system
+        template.mass_factor_inv.flags.writeable = False
     except np.linalg.LinAlgError:
-        w = None
-    cached = (mass, k_unit, entries, keep, w)
+        pass
+    mass.flags.writeable = False
+    keep.flags.writeable = False
+    cached = (template, k_unit, entries)
     structure._assembly_cache = cached
     return cached
-
-
-def check_moduli(structure: BeamStructure, moduli) -> np.ndarray:
-    """moduli as a float array; ValueError unless one finite, positive value per element."""
-    moduli = np.asarray(moduli, dtype=float)
-    if moduli.shape != (structure.n_elements,):
-        raise ValueError(
-            f"expected {structure.n_elements} moduli, got shape {moduli.shape}")
-    # fails on a NaN too: min() then is NaN
-    if not (moduli.min() > 0.0 and moduli.max() < np.inf):
-        raise ValueError("all moduli must be finite and strictly positive")
-    return moduli
-
-
-def stiffness_entries(structure: BeamStructure) -> tuple[np.ndarray, np.ndarray]:
-    """(entries, k_unit): assembled stiffness K has K.flat[entries] = moduli @ k_unit.
-
-    Every other entry of K is zero. Both arrays are cached on the
-    structure and shared; callers must not modify them.
-    """
-    _, k_unit, entries, _, _ = _assembly_blocks(structure)
-    return entries, k_unit
 
 
 def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> SystemMatrices:
@@ -249,16 +239,24 @@ def assemble(structure: BeamStructure, moduli: np.ndarray | None = None) -> Syst
     Returns
     -------
     SystemMatrices
-        Matrices reduced by the structure's constrained DOFs.
+        Matrices reduced by the structure's constrained DOFs. The
+        systems of a structure share one read-only mass, mass factor and
+        DOF map (see _assembly_blocks); each gets its own stiffness.
+
+    Raises ValueError unless there is one finite, positive modulus per
+    element.
     """
     if moduli is None:
         moduli = structure.moduli()
-    moduli = check_moduli(structure, moduli)
-
-    mass, k_unit, entries, keep, w = _assembly_blocks(structure)
-    K = np.zeros(mass.shape)
-    K.flat[entries] = moduli @ k_unit
-    matrices = SystemMatrices(mass=mass.copy(), stiffness=K, dof_map=keep.copy())
-    if w is not None:
-        matrices.mass_factor_inv = w
+    moduli = np.asarray(moduli, dtype=float)
+    if moduli.shape != (structure.n_elements,):
+        raise ValueError(
+            f"expected {structure.n_elements} moduli, got shape {moduli.shape}")
+    # fails on a NaN too: min() then is NaN
+    if not (moduli.min() > 0.0 and moduli.max() < np.inf):
+        raise ValueError("all moduli must be finite and strictly positive")
+    template, k_unit, entries = _assembly_blocks(structure)
+    matrices = copy.copy(template)
+    matrices.stiffness = np.zeros(template.mass.shape)
+    matrices.stiffness.flat[entries] = moduli @ k_unit
     return matrices

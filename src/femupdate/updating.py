@@ -9,7 +9,6 @@ EvalBudget so the methods can be compared by evaluation count.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import time
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beam import BeamStructure, assemble, check_moduli, stiffness_entries
+from .beam import BeamStructure, SystemMatrices, assemble
 from .modal import (
     TWO_PI, CostWeights, EigenSolveError, ModalData, coordinate_rows, modal_distance,
     pair_shapes, solve_modes,
@@ -70,36 +69,17 @@ class UpdatingProblem:
         return self.structure.moduli()
 
     @cached_property
-    def _kernel(self) -> "_Kernel":
-        # built on the first evaluation; a problem is not modified after it
-        return _Kernel(self)
+    def _observed_rows(self) -> np.ndarray:
+        """Rows of the observed DOFs in the reduced DOF order, found once.
 
-
-class _Kernel:
-    """Per-problem arrays of one FE evaluation (see _observed_modes).
-
-    system holds the structure's validated mass, mass factor and DOF map;
-    each candidate solves a shallow copy of it that holds its own
-    stiffness, so no check runs twice and calls share no work array.
-    rows are the observed DOFs' rows in the reduced DOF order. Building
-    raises ValueError if the measured data cannot be compared: an
-    observed DOF the structure constrains, or a zero measured frequency.
-    """
-
-    def __init__(self, problem: UpdatingProblem):
-        structure = problem.structure
-        self.structure = structure
-        self.entries, self.k_unit = stiffness_entries(structure)
-        self.system = assemble(structure, np.ones(structure.n_elements))
-        self.n_solve = min(problem.n_modes + RIGID_ALLOWANCE, self.system.dof_count)
-        measured = problem.measured
-        self.rows = coordinate_rows(self.system.dof_map, measured.coordinate_map)
-        if (measured.frequencies == 0.0).any():
+        Raises ValueError if the measured data cannot be compared: an
+        observed DOF the structure constrains, or a zero measured
+        frequency. A problem is not modified after its first evaluation.
+        """
+        if (self.measured.frequencies == 0.0).any():
             raise ValueError("measured frequencies must be non-zero")
-        self.frequencies = measured.frequencies
-        self.shapes = measured.mode_shapes
-        self.gamma = problem.weights.gamma
-        self.beta = problem.weights.beta
+        return coordinate_rows(assemble(self.structure).dof_map,
+                               self.measured.coordinate_map)
 
 
 @dataclass
@@ -180,35 +160,39 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
 
 
 def _solve_cost(problem: UpdatingProblem, params: np.ndarray) -> float:
-    kernel = problem._kernel
+    # unusable measured data raises here, on the first evaluation, rather
+    # than costing every candidate +inf
+    problem._observed_rows
     try:
-        modes = _observed_modes(kernel, params)
+        modes = _observed_modes(problem, params)
     except (EigenSolveError, ValueError) as exc:
         log.warning("full objective failed for a candidate: %s", exc)
         return math.inf
-    return _paired_cost(kernel, *modes)[1]
+    return _paired_cost(problem, *modes)[1]
 
 
-def _observed_modes(kernel: _Kernel, params: np.ndarray):
+def _observed_modes(problem: UpdatingProblem, params: np.ndarray):
     """(frequencies, observed mode-shape rows, rigid flags) of one candidate.
 
-    The FE kernel: equal, bit for bit, to the arrays of solve_observed on
-    the problem's measured coordinates. Raises what solve_observed raises
-    for a failed candidate: ValueError for invalid moduli, EigenSolveError.
+    Equal, bit for bit, to the arrays of solve_observed on the problem's
+    measured coordinates. Raises what solve_observed raises for a failed
+    candidate: ValueError for invalid moduli, EigenSolveError.
     """
-    moduli = check_moduli(kernel.structure, params)
-    system = copy.copy(kernel.system)  # shares the mass, its factor and the DOF map
-    system.stiffness = np.zeros(system.mass.shape)
-    system.stiffness.flat[kernel.entries] = moduli @ kernel.k_unit
-    modes = solve_modes(system, kernel.n_solve)
-    return modes.frequencies, modes.mode_shapes[kernel.rows], modes.rigid
+    modes = _lowest_modes(assemble(problem.structure, params), problem.n_modes)
+    return modes.frequencies, modes.mode_shapes[problem._observed_rows], modes.rigid
 
 
-def _paired_cost(kernel: _Kernel, frequencies, shapes, rigid):
+def _paired_cost(problem: UpdatingProblem, frequencies, shapes, rigid):
     """(pairing, cost) of observed modes against the measured ones."""
-    pairing = pair_shapes(shapes, rigid, kernel.shapes)
-    return pairing, modal_distance(frequencies, kernel.frequencies, kernel.gamma,
-                                   kernel.beta, pairing)
+    measured, weights = problem.measured, problem.weights
+    pairing = pair_shapes(shapes, rigid, measured.mode_shapes)
+    return pairing, modal_distance(frequencies, measured.frequencies, weights.gamma,
+                                   weights.beta, pairing)
+
+
+def _lowest_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
+    """The lowest n_modes + RIGID_ALLOWANCE modes, capped at the DOF count."""
+    return solve_modes(matrices, min(n_modes + RIGID_ALLOWANCE, matrices.dof_count))
 
 
 def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
@@ -219,9 +203,7 @@ def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
     crowd out compared ones, capped at the DOF count left after the
     boundary constraints. moduli=None uses the structure's stored moduli.
     """
-    matrices = assemble(structure, moduli)
-    modes = solve_modes(matrices, min(n_modes + RIGID_ALLOWANCE, matrices.dof_count))
-    return modes.at_coordinates(observed)
+    return _lowest_modes(assemble(structure, moduli), n_modes).at_coordinates(observed)
 
 
 def compute_gamma_weights(initial: ModalData, measured: ModalData) -> np.ndarray:
@@ -253,9 +235,8 @@ def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
 
 def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
     """Paired frequencies (Hz), percent errors, mean MAC diagonal and cost."""
-    kernel = problem._kernel
-    frequencies, shapes, rigid = _observed_modes(kernel, params)
-    (idx, paired_mac), c = _paired_cost(kernel, frequencies, shapes, rigid)
+    frequencies, shapes, rigid = _observed_modes(problem, params)
+    (idx, paired_mac), c = _paired_cost(problem, frequencies, shapes, rigid)
     meas = problem.measured
     hz = frequencies[idx] / TWO_PI
     errors = 100.0 * (hz - meas.frequencies_hz) / meas.frequencies_hz

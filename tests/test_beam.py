@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import femupdate.beam
 from femupdate.beam import (
     BeamElement, BeamStructure, assemble, element_mass, element_stiffness,
 )
@@ -102,6 +103,36 @@ def test_assemble_errors():
         assemble(s, np.array([7.0e10, 7.0e10]))        # dimension mismatch
     with pytest.raises(ValueError):
         assemble(s, np.array([7.0e10, -1.0, 7.0e10]))  # non-positive modulus
+
+
+def test_assemble_rejects_an_asymmetric_element_stiffness(monkeypatch):
+    symmetric = element_stiffness
+
+    def asymmetric(ei, length):
+        k = symmetric(ei, length)
+        k[0, 1] *= 1.5
+        return k
+
+    monkeypatch.setattr(femupdate.beam, "element_stiffness", asymmetric)
+    with pytest.raises(ValueError, match="stiffness matrix is not symmetric"):
+        assemble(uniform_beam(3))
+
+
+def test_assembled_systems_share_read_only_mass_factor_and_dof_map():
+    s = uniform_beam(4, constrained_dofs=(0, 1))
+    a = assemble(s)
+    b = assemble(s, 1.1 * s.moduli())
+    mass, factor, dof_map = a.mass.copy(), a.mass_factor_inv.copy(), a.dof_map.copy()
+    for name, values in (("mass", mass), ("mass_factor_inv", factor), ("dof_map", dof_map)):
+        shared = getattr(a, name)
+        assert getattr(b, name) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+        np.testing.assert_array_equal(getattr(assemble(s), name), values)
+    assert b.stiffness is not a.stiffness
+    stiffness = a.stiffness.copy()
+    a.stiffness[0, 0] = 0.0
+    np.testing.assert_array_equal(assemble(s).stiffness, stiffness)
 
 
 def test_structure_invariants():

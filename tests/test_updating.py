@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -144,22 +145,50 @@ def test_objective_rejects_a_constrained_observed_dof():
         full_objective(problem, structure.moduli(), EvalBudget())
 
 
+def test_objective_rejects_a_zero_measured_frequency(default_problem):
+    problem, _ = default_problem
+    measured = replace(problem.measured,
+                       frequencies=np.r_[0.0, problem.measured.frequencies[1:]])
+    with pytest.raises(ValueError, match="non-zero"):
+        full_objective(replace(problem, measured=measured), problem.initial_parameters(),
+                       EvalBudget())
+
+
 # ---------------------------------------------------------------- cost memo
 # A fresh EvalBudget per call holds no stored costs: it is the oracle.
 
 
 @pytest.fixture()
 def counted_solves(monkeypatch):
-    """Parameter vectors passed to the FE kernel's solve, which runs as shipped."""
+    """Parameter vectors passed to the FE evaluation's solve, which runs as shipped."""
     seen = []
     solve = femupdate.updating._observed_modes
 
-    def counting(kernel, params):
+    def counting(problem, params):
         seen.append(np.array(params, dtype=float))
-        return solve(kernel, params)
+        return solve(problem, params)
 
     monkeypatch.setattr(femupdate.updating, "_observed_modes", counting)
     return seen
+
+
+@pytest.fixture()
+def counted_assembly(monkeypatch):
+    """Moduli passed to assemble from updating, which runs as shipped."""
+    seen = []
+    assemble = femupdate.updating.assemble
+
+    def counting(structure, moduli=None):
+        seen.append(moduli)
+        return assemble(structure, moduli)
+
+    monkeypatch.setattr(femupdate.updating, "assemble", counting)
+    return seen
+
+
+def unevaluated(problem):
+    """A copy of problem that has not yet found its observed rows."""
+    return replace(problem)
 
 
 @pytest.fixture()
@@ -196,13 +225,16 @@ def test_ga_update_matches_oracle_path(default_problem):
     assert report.fe_solves < report.fe_evaluations == 120
 
 
-def test_repeated_candidate_solved_once(default_problem, counted_solves):
+def test_repeated_candidate_solved_once(default_problem, counted_solves, counted_assembly):
     problem, truth = default_problem
+    problem = unevaluated(problem)
     x0 = problem.initial_parameters()
     budget = EvalBudget()
     costs = [full_objective(problem, x, budget) for x in (truth, x0, truth.copy(), x0, truth)]
     assert budget.calls == 5  # every repeat is still charged
     assert budget.solves == len(counted_solves) == 2
+    # one assembly per solve, and one to find the observed rows
+    assert len(counted_assembly) == 3 and counted_assembly[0] is None
     assert costs[0] == costs[2] == costs[4] == full_objective(problem, truth, EvalBudget())
     assert costs[1] == costs[3] == full_objective(problem, x0, EvalBudget())
 
@@ -251,8 +283,9 @@ def test_capped_ga_truncates_on_the_oracle_row(default_problem, limit):
 
 def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
                                                                 counted_solves,
-                                                                counted_objective):
-    problem, _ = default_problem
+                                                                counted_objective,
+                                                                counted_assembly):
+    problem = unevaluated(default_problem[0])
     cfg = GaConfig(population_size=10, generations=12, seed=8)
     first = ga_update(problem, cfg)
     assert len(counted_objective) == first.fe_evaluations
@@ -262,14 +295,17 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
     assert first.fe_solves == n_first - 2 == len(distinct) < first.fe_evaluations
     second = ga_update(problem, cfg)
     assert len(counted_solves) == 2 * n_first
+    # one assembly per solve, and one to find the observed rows
+    assert len(counted_assembly) == len(counted_solves) + 1
     assert second.fe_solves == first.fe_solves > 0
     assert second.final_cost == first.final_cost
 
 
 @pytest.mark.parametrize("method", ["rsm", "sa"])
 def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solves,
-                                                  counted_objective, method):
-    problem, _ = default_problem
+                                                  counted_objective, counted_assembly,
+                                                  method):
+    problem = unevaluated(default_problem[0])
     if method == "rsm":
         report = rsm_update(problem, small_rsm_config())
     else:
@@ -279,6 +315,8 @@ def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solve
     # the report's two modal comparisons solve outside the budget
     assert len(counted_solves) == report.fe_solves + 2
     assert report.fe_solves == report.fe_evaluations  # neither repeats a candidate
+    # one assembly per solve, and one to find the observed rows
+    assert len(counted_assembly) == len(counted_solves) + 1
 
 
 # ---------------------------------------------------------------- gamma

@@ -73,7 +73,6 @@ def _load(config_path: str, seed: int | None = None) -> RunSettings:
 def _echo_with_seeds(settings: RunSettings, report):
     # replayability: every report carries the complete resolved config
     report.config_echo = {
-        "method": report.config_echo,
         "scenario": asdict(settings.spec),
         "rsm": asdict(settings.rsm),
         "ga": asdict(settings.ga),

@@ -69,7 +69,7 @@ SECTIONS = {
     "structure": (ScenarioSpec, H_FIXTURE_KEYS + EXPLICIT_KEYS),
     "scenario": (ScenarioSpec, ("perturbations", "n_modes", "noise_std", "seed",
                                 "lower_bound", "upper_bound", "observed_dofs")),
-    "cost": (ScenarioSpec, ("beta", "target_cost")),
+    "cost": (ScenarioSpec, ("beta",)),
     "rsm": (RsmConfig, _field_names(RsmConfig, "ga")),  # the inner GA is [ga]
     "ga": (GaConfig, _field_names(GaConfig)),
     "sa": (SaConfig, _field_names(SaConfig)),

@@ -62,7 +62,7 @@ class GaConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        for name in ("selection_q", "mutation_rate", "crossover_rate"):
+        for name in ("mutation_rate", "crossover_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -89,8 +89,10 @@ class SaConfig:
             raise ValueError("n_runs must be >= 1")
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
-        if self.initial_temperature <= 0.0 or self.min_temperature <= 0.0:
+        if self.min_temperature <= 0.0:
             raise ValueError("temperatures must be positive")
+        if self.initial_temperature <= self.min_temperature:
+            raise ValueError("initial_temperature must exceed min_temperature")
         if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
             raise ValueError("steps_per_temperature must be >= 1")
         if self.seed < 0:

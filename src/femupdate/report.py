@@ -49,7 +49,6 @@ def render_report(report: UpdateReport) -> str:
         "femupdate update report",
         f"method: {report.method}",
         f"truncated: {fmt(report.truncated)}",
-        f"target_reached: {fmt(report.target_reached)}",
         "",
         "[result]",
         f"initial_cost: {fmt(report.initial_cost)}",

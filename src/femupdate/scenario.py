@@ -59,7 +59,6 @@ class ScenarioSpec:
     n_modes: int = 5
     noise_std: float = 0.0                # relative, on frequencies and shapes
     beta: float = 0.75
-    target_cost: float = 0.0
     seed: int = 2024
 
     def __post_init__(self):
@@ -75,6 +74,8 @@ class ScenarioSpec:
             raise ValueError("n_modes must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
+        if self.beta < 0.0:
+            raise ValueError("beta must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -226,6 +227,5 @@ def build_scenario(spec: ScenarioSpec,
                       upper=np.full(n_el, spec.upper_bound)),
         measured=measured,
         weights=CostWeights(gamma=gamma, beta=spec.beta),
-        target_cost=spec.target_cost,
     )
     return problem, truth

@@ -13,7 +13,6 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +38,17 @@ class UpdatingProblem:
     """A structure, its measured modal data and the updating search space.
 
     The parameters are the per-element elastic moduli; measured sets the
-    number of compared modes.
+    number of compared modes. Building a problem finds the rows of the
+    observed DOFs in the reduced DOF order, and raises ValueError if the
+    measured data cannot be compared: an observed DOF the structure
+    constrains, or a zero measured frequency.
     """
 
     structure: BeamStructure
     bounds: Bounds
     measured: ModalData
     weights: CostWeights
-    target_cost: float = 0.0
+    _observed_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bounds.dim != self.n_params:
@@ -54,8 +56,10 @@ class UpdatingProblem:
                 f"bounds dimension {self.bounds.dim} != parameter count {self.n_params}")
         if self.weights.gamma.size != self.n_modes:
             raise ValueError("need one gamma weight per compared mode")
-        if self.target_cost < 0.0:
-            raise ValueError("target_cost must be >= 0")
+        if (self.measured.frequencies == 0.0).any():
+            raise ValueError("measured frequencies must be non-zero")
+        self._observed_rows = coordinate_rows(assemble(self.structure).dof_map,
+                                              self.measured.coordinate_map)
 
     @property
     def n_modes(self) -> int:
@@ -67,19 +71,6 @@ class UpdatingProblem:
 
     def initial_parameters(self) -> np.ndarray:
         return self.structure.moduli()
-
-    @cached_property
-    def _observed_rows(self) -> np.ndarray:
-        """Rows of the observed DOFs in the reduced DOF order, found once.
-
-        Raises ValueError if the measured data cannot be compared: an
-        observed DOF the structure constrains, or a zero measured
-        frequency. A problem is not modified after its first evaluation.
-        """
-        if (self.measured.frequencies == 0.0).any():
-            raise ValueError("measured frequencies must be non-zero")
-        return coordinate_rows(assemble(self.structure).dof_map,
-                               self.measured.coordinate_map)
 
 
 @dataclass
@@ -95,6 +86,8 @@ class RsmConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
+        if self.m_hidden < 1:
+            raise ValueError("m_hidden must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.initial_cycles < 1 or self.incremental_cycles < 1:
@@ -126,7 +119,6 @@ class UpdateReport:
     seeds: dict
     config_echo: dict
     truncated: bool = False
-    target_reached: bool = False
     surrogate: SurrogateNet | None = None
     design: tuple[np.ndarray, np.ndarray] | None = None  # final RSM training set
     design_best_cost: float | None = None  # RSM: lowest cost of the initial design
@@ -160,9 +152,6 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
 
 
 def _solve_cost(problem: UpdatingProblem, params: np.ndarray) -> float:
-    # unusable measured data raises here, on the first evaluation, rather
-    # than costing every candidate +inf
-    problem._observed_rows
     try:
         modes = _observed_modes(problem, params)
     except (EigenSolveError, ValueError) as exc:
@@ -246,7 +235,7 @@ def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
 def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
                   final_cost: float, history, budget: EvalBudget,
                   wall_time_s: float, seeds: dict, config_echo: dict,
-                  truncated: bool = False, target_reached: bool = False) -> UpdateReport:
+                  truncated: bool = False) -> UpdateReport:
     x0 = problem.initial_parameters()
     initial_hz, initial_err, mac0, initial_cost = _modal_comparison(problem, x0)
     updated_hz, updated_err, mac1, _ = _modal_comparison(problem, best_x)
@@ -270,7 +259,6 @@ def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
         seeds=dict(seeds),
         config_echo=dict(config_echo),
         truncated=truncated,
-        target_reached=target_reached,
     )
 
 
@@ -285,11 +273,12 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
        per generation.
     4. Evaluate the GA optimum on the full model (one FE evaluation);
        the history row records its predicted and full-model cost.
-    5. If the cost still exceeds target_cost and iterations remain,
-       replace the worst sample with the new pair and repeat from 2.
+    5. Replace the worst sample with the new pair, unless the pair is
+       worse still, and repeat from 2 until max_iterations re-anchors
+       are done.
 
-    Total FE evaluations are n_samples + (iterations performed), each
-    one a full_objective call. The returned parameters are always
+    Total FE evaluations are n_samples + max_iterations, each one a
+    full_objective call. The returned parameters are always
     full-model evaluated. Design points with a non-finite cost, such as
     a failed solve, are dropped with a warning; training raises
     ValueError if too few points remain for the net.
@@ -318,7 +307,6 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
                    target_center=center, target_scale=scale)
 
     history: list[HistoryRecord] = []
-    target_reached = False
     for it in range(1, cfg.max_iterations + 1):
         cycles = cfg.initial_cycles if it == 1 else cfg.incremental_cycles
         net = train(net, TrainingSet(inputs=X, targets=t), cycles)
@@ -332,9 +320,6 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
                                      evaluations=budget.calls,
                                      predicted_cost=inner.best_cost,
                                      full_cost=c_full))
-        if c_full <= problem.target_cost:
-            target_reached = True
-            break
         # replace the worst-cost sample (first index on ties) with the new
         # pair; a pair worse than the current worst would only degrade the
         # set, so the design max never increases
@@ -348,7 +333,6 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
         problem, "rsm", best_x, best_cost, history, budget, elapsed,
         seeds={"sampler": cfg.sampler_seed, "ga": cfg.ga.seed},
         config_echo=asdict(cfg),
-        target_reached=target_reached,
     )
     report.surrogate = net
     report.design = (X, t)

@@ -106,7 +106,6 @@ observed_dofs = 0, 2, 4, 6
 
 [cost]
 beta = 0.5
-target_cost = 0.001
 
 [rsm]
 n_samples = 20
@@ -149,8 +148,7 @@ def test_load_settings_every_key_lands_on_its_field(tmp_path):
         area=2.0e-4, second_moment=3.0e-9, density=2800.0,
         nominal_modulus=7.1e10, lower_bound=6.5e10, upper_bound=7.5e10,
         ground_truth_perturbations=((1, 6.6e10), (2, 6.8e10)),
-        observed_dofs=(0, 2, 4, 6), n_modes=4, noise_std=0.01, beta=0.5,
-        target_cost=0.001, seed=9)
+        observed_dofs=(0, 2, 4, 6), n_modes=4, noise_std=0.01, beta=0.5, seed=9)
     assert s.rsm == RsmConfig(n_samples=20, max_iterations=3, initial_cycles=30,
                               incremental_cycles=2, m_hidden=4, ga=ga,
                               sampler_seed=11)
@@ -193,6 +191,7 @@ def test_unknown_key_rejected(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("section, key, value", [
     ("cost", "gamma_mode", "absolute"),  # gamma is always in Hz^2
     ("rsm", "sampler", "lhs"),           # the design is always a Latin hypercube
+    ("cost", "target_cost", "0.001"),    # the rsm always runs every re-anchor
 ])
 def test_removed_option_rejected(tmp_path, capsys, section, key, value):
     path = tmp_path / "removed.ini"
@@ -323,6 +322,11 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     ("rsm", "sampler_seed = -5", "[rsm] invalid: sampler_seed must be >= 0"),
     ("ga", "seed = -5", "[ga] invalid: seed must be >= 0"),
     ("sa", "seed = -5", "[sa] invalid: seed must be >= 0"),
+    ("cost", "beta = -1", "[scenario] invalid: beta must be >= 0"),
+    ("rsm", "m_hidden = 0", "[rsm] invalid: m_hidden must be >= 1"),
+    ("rsm", "m_hidden = -1", "[rsm] invalid: m_hidden must be >= 1"),
+    ("sa", "initial_temperature = 1e-7",
+     "[sa] invalid: initial_temperature must exceed min_temperature"),
 ])
 def test_invalid_run_setting_exit_2(tmp_path, capsys, section, setting, message):
     path = tmp_path / "bad.ini"

@@ -111,7 +111,6 @@ def test_assembled_system_matches_hand_built(refine):
 
 def test_mass_factored_once_per_structure(monkeypatch):
     problem, truth = build_scenario(ScenarioSpec())
-    problem = replace(problem, structure=h_beam_structure(ScenarioSpec()))
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -120,6 +119,8 @@ def test_mass_factored_once_per_structure(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    # a fresh structure, so building the problem factors its mass
+    problem = replace(problem, structure=h_beam_structure(ScenarioSpec()))
     rng = np.random.default_rng(0)
     budget = EvalBudget()
     for _ in range(20):

@@ -383,6 +383,9 @@ def test_ga_config_validation():
         GaConfig(generations=0)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
+    for q in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="selection_q must lie strictly in"):
+            GaConfig(selection_q=q)
 
 
 # ---------------------------------------------------------------- SA
@@ -480,6 +483,9 @@ def test_sa_config_validation():
         SaConfig(n_runs=0)
     with pytest.raises(ValueError):
         SaConfig(step_scale=0.0)
+    # a start at min_temperature would anneal nothing
+    with pytest.raises(ValueError, match="initial_temperature must exceed"):
+        SaConfig(initial_temperature=1e-6, min_temperature=1e-6)
 
 
 def test_bounds_validation():

@@ -138,11 +138,10 @@ def test_objective_rejects_a_constrained_observed_dof():
     measured = ModalData(frequencies=[100.0, 600.0],
                          mode_shapes=np.random.default_rng(3).standard_normal((3, 2)),
                          coordinate_map=[0, 2, 4])
-    problem = UpdatingProblem(structure=structure,
-                              bounds=Bounds(np.full(3, 6.0e10), np.full(3, 8.0e10)),
-                              measured=measured, weights=CostWeights(gamma=[1.0, 1.0], beta=0.75))
     with pytest.raises(ValueError, match="not observed coordinates"):
-        full_objective(problem, structure.moduli(), EvalBudget())
+        UpdatingProblem(structure=structure,
+                        bounds=Bounds(np.full(3, 6.0e10), np.full(3, 8.0e10)),
+                        measured=measured, weights=CostWeights(gamma=[1.0, 1.0], beta=0.75))
 
 
 def test_objective_rejects_a_zero_measured_frequency(default_problem):
@@ -150,8 +149,7 @@ def test_objective_rejects_a_zero_measured_frequency(default_problem):
     measured = replace(problem.measured,
                        frequencies=np.r_[0.0, problem.measured.frequencies[1:]])
     with pytest.raises(ValueError, match="non-zero"):
-        full_objective(replace(problem, measured=measured), problem.initial_parameters(),
-                       EvalBudget())
+        replace(problem, measured=measured)
 
 
 # ---------------------------------------------------------------- cost memo
@@ -186,9 +184,11 @@ def counted_assembly(monkeypatch):
     return seen
 
 
-def unevaluated(problem):
-    """A copy of problem that has not yet found its observed rows."""
-    return replace(problem)
+def fresh_copy(problem, counted_assembly):
+    """A newly built, never evaluated copy of problem; its build is not counted."""
+    problem = replace(problem)
+    counted_assembly.clear()
+    return problem
 
 
 @pytest.fixture()
@@ -226,15 +226,15 @@ def test_ga_update_matches_oracle_path(default_problem):
 
 
 def test_repeated_candidate_solved_once(default_problem, counted_solves, counted_assembly):
-    problem, truth = default_problem
-    problem = unevaluated(problem)
+    truth = default_problem[1]
+    problem = fresh_copy(default_problem[0], counted_assembly)
     x0 = problem.initial_parameters()
     budget = EvalBudget()
     costs = [full_objective(problem, x, budget) for x in (truth, x0, truth.copy(), x0, truth)]
     assert budget.calls == 5  # every repeat is still charged
     assert budget.solves == len(counted_solves) == 2
-    # one assembly per solve, and one to find the observed rows
-    assert len(counted_assembly) == 3 and counted_assembly[0] is None
+    # one assembly per solve, none to set up the evaluation
+    assert len(counted_assembly) == 2
     assert costs[0] == costs[2] == costs[4] == full_objective(problem, truth, EvalBudget())
     assert costs[1] == costs[3] == full_objective(problem, x0, EvalBudget())
 
@@ -285,7 +285,7 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
                                                                 counted_solves,
                                                                 counted_objective,
                                                                 counted_assembly):
-    problem = unevaluated(default_problem[0])
+    problem = fresh_copy(default_problem[0], counted_assembly)
     cfg = GaConfig(population_size=10, generations=12, seed=8)
     first = ga_update(problem, cfg)
     assert len(counted_objective) == first.fe_evaluations
@@ -295,8 +295,8 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
     assert first.fe_solves == n_first - 2 == len(distinct) < first.fe_evaluations
     second = ga_update(problem, cfg)
     assert len(counted_solves) == 2 * n_first
-    # one assembly per solve, and one to find the observed rows
-    assert len(counted_assembly) == len(counted_solves) + 1
+    # one assembly per solve, none to set up the evaluation
+    assert len(counted_assembly) == len(counted_solves)
     assert second.fe_solves == first.fe_solves > 0
     assert second.final_cost == first.final_cost
 
@@ -305,7 +305,7 @@ def test_ga_update_solves_each_distinct_candidate_once_per_call(default_problem,
 def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solves,
                                                   counted_objective, counted_assembly,
                                                   method):
-    problem = unevaluated(default_problem[0])
+    problem = fresh_copy(default_problem[0], counted_assembly)
     if method == "rsm":
         report = rsm_update(problem, small_rsm_config())
     else:
@@ -315,8 +315,8 @@ def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solve
     # the report's two modal comparisons solve outside the budget
     assert len(counted_solves) == report.fe_solves + 2
     assert report.fe_solves == report.fe_evaluations  # neither repeats a candidate
-    # one assembly per solve, and one to find the observed rows
-    assert len(counted_assembly) == len(counted_solves) + 1
+    # one assembly per solve, none to set up the evaluation
+    assert len(counted_assembly) == len(counted_solves)
 
 
 # ---------------------------------------------------------------- gamma
@@ -380,22 +380,12 @@ def test_sample_design_deterministic():
 # ---------------------------------------------------------------- RSM loop
 
 
-def test_rsm_infinite_target_stops_after_one_iteration(default_problem):
-    problem, _ = default_problem
-    relaxed = build_scenario(ScenarioSpec(target_cost=np.inf))[0]
-    cfg = small_rsm_config()
-    report = rsm_update(relaxed, cfg)
-    assert report.fe_evaluations == cfg.n_samples + 1
-    assert report.target_reached
-    assert len(report.history) == 1
-
-
-def test_rsm_runs_all_iterations_with_zero_target(default_problem):
+def test_rsm_runs_all_iterations(default_problem):
     problem, _ = default_problem
     cfg = small_rsm_config()
     report = rsm_update(problem, cfg)
     assert report.fe_evaluations == cfg.n_samples + cfg.max_iterations
-    assert not report.target_reached
+    assert len(report.history) == cfg.max_iterations
 
 
 def rsm_start_design(problem, cfg):

@@ -210,10 +210,11 @@ def load_settings(path) -> RunSettings:
             if key not in SECTIONS[section][1]:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
 
-    spec_values = {**_set_fields(parser, "structure"), **_set_fields(parser, "scenario"),
-                   **_set_fields(parser, "cost")}
+    # one section at a time, so an invalid value is reported under its own section
+    spec = ScenarioSpec()
+    for section in ("structure", "scenario", "cost"):
+        spec = _build(ScenarioSpec, section, {**vars(spec), **_set_fields(parser, section)})
     structure = _load_structure(parser)
-    spec = _build(ScenarioSpec, "scenario", spec_values)
     try:
         check_scenario(spec, h_beam_structure(spec) if structure is None else structure)
     except ValueError as exc:

@@ -7,6 +7,13 @@ called once per generation; row_by_row lifts a scalar objective to one.
 SA takes a scalar objective f(x) -> float, since its chain is
 sequential. Every candidate handed to an objective lies inside the
 bounds.
+
+No GA breeding draw (selection, crossover, mutation) depends on a cost,
+so a GA run makes all of them once, before its first generation; a
+generation is then a few array operations. The schedule's memory grows
+with generations * population_size: it keeps about two eight-byte values
+per generation and individual (0.17 MB at 200 x 50), twice that while
+it is drawn.
 """
 
 from __future__ import annotations
@@ -208,11 +215,7 @@ def arithmetic_crossover(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarra
     """
     if p1.shape != p2.shape:
         raise ValueError("parents must have equal length")
-    return _crossover(p1, p2, rng.uniform())
-
-
-def _crossover(p1: np.ndarray, p2: np.ndarray, a):
-    """Arithmetic crossover with weight a, a scalar or broadcast against the parents."""
+    a = rng.uniform()
     b = 1.0 - a
     return a * p1 + b * p2, b * p1 + a * p2
 
@@ -231,8 +234,10 @@ def nonuniform_mutate(x: np.ndarray, t: int, t_max: int, bounds: Bounds,
     toward_upper = rng.uniform() < 0.5
     r = rng.uniform()
     out = x.copy()
-    out[i] = _mutate(x[i], bounds.lower[i], bounds.upper[i], toward_upper, r,
-                     (1.0 - t / t_max) ** b)
+    # r as an array takes numpy's vector power, as a GA generation does;
+    # the scalar power can differ from it in the last bit
+    out[i] = _mutate(x[i], bounds.lower[i], bounds.upper[i], toward_upper, np.array([r]),
+                     (1.0 - t / t_max) ** b)[0]
     return out
 
 
@@ -295,11 +300,14 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     row_by_row records it) still count toward the best and get one
     history row. History rows carry per-generation best/mean cost and
     cumulative evaluations; the best-ever individual is returned.
+
+    The run's breeding draws are made up front (see _breeding_schedule).
     """
     rng = np.random.default_rng(cfg.seed)
     size, d = cfg.population_size, bounds.dim
 
     pop = rng.uniform(bounds.lower, bounds.upper, (size, d))
+    ranks, a, b, mutations = _breeding_schedule(rng, cfg, d)
     best_x = pop[0].copy()
     best_cost = math.inf
     history: list[HistoryRecord] = []
@@ -321,54 +329,74 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
             break
         # a truncated generation still reports the prefix it paid for
         evaluations += costs.size
-        gen_best = int(np.argmin(costs))
+        gen_best = costs.argmin()
         if costs[gen_best] < best_cost:
             best_cost = float(costs[gen_best])
             best_x = pop[gen_best].copy()
         history.append(HistoryRecord(step=gen, best_cost=best_cost,
                                      mean_cost=float(costs.sum() / costs.size),
                                      evaluations=evaluations))
-        if truncated:
+        if truncated or gen == cfg.generations:
             break
-        if gen < cfg.generations:
-            pop = _next_generation(pop, costs, best_x, gen, cfg, bounds, rng)
+        # the next population: the incumbent best (elitism of 1), then the
+        # children of P // 2 selected pairs, the last one dropped when P is even
+        g = gen - 1
+        parents = pop.take(costs.argsort(kind="stable").take(ranks[g]), axis=0)  # (pairs, 2, d)
+        nxt = np.empty((2 * len(parents) + 1, d))
+        nxt[0] = best_x
+        children = nxt[1:]
+        by_pair = children.reshape(parents.shape)
+        # a = 1, b = 0 returns an uncrossed pair exactly
+        np.multiply(a[g], parents, out=by_pair)
+        by_pair += b[g] * parents[:, ::-1]
+        if gen in mutations:
+            rows, i, toward_upper, r = mutations[gen]
+            expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
+            children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
+                                        toward_upper, r, expo)
+        pop = nxt[:size]
 
     return OptimizeResult(best_x=best_x, best_cost=best_cost,
                           history=history, truncated=truncated)
 
 
-def _next_generation(pop, costs, best_x, gen, cfg: GaConfig, bounds: Bounds, rng):
-    """The next population: the incumbent best, then P - 1 bred children.
+def _breeding_schedule(rng, cfg: GaConfig, d: int):
+    """Every breeding draw of a GA run, for generations 1 .. generations - 1.
 
-    Children come from P // 2 parent pairs chosen by geometric rank
-    selection; pair k gives children 2k and 2k + 1, and the last child
-    is dropped when P - 1 is odd. Draws are made as arrays, in this
-    order: selection uniforms (pairs, 2); crossover gate uniforms
-    (pairs,); one crossover weight per gated pair; mutation gate
-    uniforms (P - 1,); then, per mutated child, the coordinate
-    (integers), the direction uniform and the step uniform.
+    Generation g breeds P - 1 children from P // 2 parent pairs; pair k
+    gives children 2k and 2k + 1. Its draws are made in this order:
+    selection uniforms (pairs, 2) and crossover gate uniforms (pairs,)
+    as one draw; one crossover weight per gated pair and mutation gate
+    uniforms (P - 1,) as one draw; then, when a child is mutated, the
+    coordinates (integers) and the direction and step uniforms of the
+    mutated children, in child order.
+
+    Returns ranks (G - 1, pairs, 2), the selected ascending-cost ranks;
+    crossover weights a and b = 1 - a, each (G - 1, pairs, 1, 1), with
+    a = 1 for a pair not crossed; and a dict from generation to its
+    mutated children: (rows, coordinates, toward_upper, r).
     """
-    size, d = pop.shape
-    pairs = size // 2
-    # rng.random draws the same numbers as rng.uniform(0, 1), at less cost
-    ranks = _geometric_ranks(rng.random((pairs, 2)), cfg.selection_q, size).astype(int)
-    parents = pop[np.argsort(costs, kind="stable")[ranks]]  # (pairs, 2, d)
-    crossed = rng.random(pairs) < cfg.crossover_rate
-    parents[crossed, 0], parents[crossed, 1] = _crossover(
-        parents[crossed, 0], parents[crossed, 1],
-        rng.random((np.count_nonzero(crossed), 1)))
-    children = parents.reshape(-1, d)[:size - 1]
+    size = cfg.population_size
+    pairs, n_gates, gens = size // 2, size - 1, cfg.generations - 1
+    select = np.empty((gens, 3 * pairs))  # selection uniforms, then crossover gates
+    a = np.ones((gens, pairs))
+    mutations = {}
+    for g in range(gens):
+        # rng.random draws the same numbers as rng.uniform(0, 1), at less cost
+        head = select[g] = rng.random(3 * pairs)
+        crossed = head[2 * pairs:] < cfg.crossover_rate
+        c = np.count_nonzero(crossed)
+        tail = rng.random(c + n_gates)
+        a[g, crossed] = tail[:c]
+        if tail[c:].min() < cfg.mutation_rate:
+            rows = (tail[c:] < cfg.mutation_rate).nonzero()[0]
+            i = rng.integers(d, size=rows.size)
+            u = rng.random(2 * rows.size)
+            mutations[g + 1] = rows, i, u[:rows.size] < 0.5, u[rows.size:]
 
-    rows = (rng.random(size - 1) < cfg.mutation_rate).nonzero()[0]
-    if rows.size:
-        i = rng.integers(d, size=rows.size)
-        toward_upper = rng.random(rows.size) < 0.5
-        r = rng.random(rows.size)
-        expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
-        children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
-                                    toward_upper, r, expo)
-    # elitism of 1: the incumbent best survives unmodified
-    return np.concatenate([best_x[None], children])
+    ranks = _geometric_ranks(select[:, :2 * pairs], cfg.selection_q, size).astype(int)
+    a = a.reshape(gens, pairs, 1, 1)
+    return ranks.reshape(gens, pairs, 2), a, 1.0 - a, mutations
 
 
 def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,

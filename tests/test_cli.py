@@ -322,7 +322,9 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     ("rsm", "sampler_seed = -5", "[rsm] invalid: sampler_seed must be >= 0"),
     ("ga", "seed = -5", "[ga] invalid: seed must be >= 0"),
     ("sa", "seed = -5", "[sa] invalid: seed must be >= 0"),
-    ("cost", "beta = -1", "[scenario] invalid: beta must be >= 0"),
+    ("structure", "crossbar_length = -1", "[structure] invalid: run lengths must be positive"),
+    ("scenario", "n_modes = 0", "[scenario] invalid: n_modes must be >= 1"),
+    ("cost", "beta = -1", "[cost] invalid: beta must be >= 0"),
     ("rsm", "m_hidden = 0", "[rsm] invalid: m_hidden must be >= 1"),
     ("rsm", "m_hidden = -1", "[rsm] invalid: m_hidden must be >= 1"),
     ("sa", "initial_temperature = 1e-7",

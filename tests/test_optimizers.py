@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from femupdate.optimizers import (
-    Bounds, EvalBudget, GaConfig, SaConfig, _geometric_ranks, _mutate, _next_generation,
-    arithmetic_crossover, ga_optimize, geometric_select, metropolis_accept,
-    nonuniform_mutate, row_by_row, sa_optimize,
+    Bounds, BudgetExhausted, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig,
+    _breeding_schedule, _geometric_ranks, _mutate, arithmetic_crossover,
+    ga_optimize, geometric_select, metropolis_accept, nonuniform_mutate, row_by_row,
+    sa_optimize,
 )
 
 
@@ -263,45 +264,74 @@ class Draws:
         return int(next(self._integers))
 
 
+def recorded_run(cfg, bounds, costs_seed):
+    """ga_optimize on preset random costs, with a tie in every generation.
+
+    Returns, per bred generation, (population, costs, incumbent best,
+    generation, next population), and the rng that drew the initial
+    population, left where breeding starts.
+    """
+    setup = np.random.default_rng(costs_seed)
+    seen = []
+
+    def objective(X):
+        costs = setup.uniform(size=len(X))
+        costs[1] = costs[3]  # a tie, broken by the stable sort
+        seen.append((X.copy(), costs))
+        return costs
+
+    ga_optimize(objective, bounds, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    np.testing.assert_array_equal(rng.uniform(bounds.lower, bounds.upper, seen[0][0].shape),
+                                  seen[0][0])
+    steps, best_cost = [], math.inf
+    for gen, ((pop, costs), (new, _)) in enumerate(zip(seen, seen[1:]), start=1):
+        if costs.min() < best_cost:
+            best_cost, best_x = costs.min(), pop[np.argmin(costs)]
+        steps.append((pop, costs, best_x, gen, new))
+    assert len(steps) == cfg.generations - 1
+    return steps, rng
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_vector_generation_matches_scalar_operators(seed):
-    # oracle: the scalar operators, fed the vector generation's draws in
-    # its documented order, breed bit-identical children
-    size, gen = 11, 7
-    cfg = GaConfig(population_size=size, generations=20, mutation_rate=0.4, seed=0)
+    # oracle: the scalar operators, fed the run's draws in the documented
+    # order, breed bit-identical children in every generation
+    size = 11
+    cfg = GaConfig(population_size=size, generations=20, mutation_rate=0.4, seed=seed)
     b = Bounds(lower=np.array([-1.0, 0.0, 2.0]), upper=np.array([1.0, 5.0, 3.0]))
-    setup = np.random.default_rng(100 + seed)
-    pop = setup.uniform(b.lower, b.upper, (size, b.dim))
-    costs = setup.uniform(size=size)
-    best_x = pop[np.argmin(costs)].copy()
-    new = _next_generation(pop, costs, best_x, gen, cfg, b, np.random.default_rng(seed))
-
-    rng = np.random.default_rng(seed)
+    steps, rng = recorded_run(cfg, b, 100 + seed)
     pairs = size // 2
-    order = np.argsort(costs, kind="stable")
-    ranked, ranked_costs = pop[order], costs[order]
-    u_select = rng.uniform(size=(pairs, 2))
-    crossed = rng.uniform(size=pairs) < cfg.crossover_rate
-    weights = iter(rng.uniform(size=int(crossed.sum())))
-    children = []
-    for k in range(pairs):
-        i1, i2 = (geometric_select(ranked_costs, cfg.selection_q, Draws([u]))
-                  for u in u_select[k])
-        if crossed[k]:
-            children += arithmetic_crossover(ranked[i1], ranked[i2], Draws([next(weights)]))
-        else:
-            children += [ranked[i1], ranked[i2]]
-    children = children[:size - 1]
-    mutated = np.flatnonzero(rng.uniform(size=size - 1) < cfg.mutation_rate)
-    coords = rng.integers(b.dim, size=mutated.size)
-    directions = rng.uniform(size=mutated.size)
-    steps = rng.uniform(size=mutated.size)
-    for j, k in enumerate(mutated):
-        children[k] = nonuniform_mutate(children[k], gen, cfg.generations, b,
-                                        cfg.mutation_shape_b,
-                                        Draws([directions[j], steps[j]], [coords[j]]))
-    assert crossed.any() and not crossed.all() and mutated.size > 0
-    np.testing.assert_array_equal(new, np.vstack([best_x, *children]))
+    n_crossed = n_mutated = 0
+    for pop, costs, best_x, gen, new in steps:
+        order = np.argsort(costs, kind="stable")
+        ranked, ranked_costs = pop[order], costs[order]
+        u_select = rng.uniform(size=(pairs, 2))
+        crossed = rng.uniform(size=pairs) < cfg.crossover_rate
+        weights = iter(rng.uniform(size=int(crossed.sum())))
+        children = []
+        for k in range(pairs):
+            i1, i2 = (geometric_select(ranked_costs, cfg.selection_q, Draws([u]))
+                      for u in u_select[k])
+            if crossed[k]:
+                children += arithmetic_crossover(ranked[i1], ranked[i2],
+                                                 Draws([next(weights)]))
+            else:
+                children += [ranked[i1], ranked[i2]]
+        children = children[:size - 1]
+        mutated = np.flatnonzero(rng.uniform(size=size - 1) < cfg.mutation_rate)
+        if mutated.size:
+            coords = rng.integers(b.dim, size=mutated.size)
+            directions = rng.uniform(size=mutated.size)
+            steps_u = rng.uniform(size=mutated.size)
+        for j, k in enumerate(mutated):
+            children[k] = nonuniform_mutate(children[k], gen, cfg.generations, b,
+                                            cfg.mutation_shape_b,
+                                            Draws([directions[j], steps_u[j]], [coords[j]]))
+        np.testing.assert_array_equal(new, np.vstack([best_x, *children]))
+        n_crossed += crossed.sum()
+        n_mutated += mutated.size
+    assert 0 < n_crossed < pairs * len(steps) and n_mutated > 0
 
 
 def uniform_draws_next_generation(pop, costs, best_x, gen, cfg, bounds, rng):
@@ -331,21 +361,132 @@ def uniform_draws_next_generation(pop, costs, best_x, gen, cfg, bounds, rng):
 @pytest.mark.parametrize("crossover_rate", [0.0, 0.6, 1.0])
 def test_next_generation_matches_uniform_draws_oracle(size, crossover_rate):
     cfg = GaConfig(population_size=size, generations=6, crossover_rate=crossover_rate,
-                   mutation_rate=0.5, seed=0)
+                   mutation_rate=0.5, seed=77)
     b = Bounds(lower=np.linspace(-3.0, 1.0, 5), upper=np.linspace(2.0, 9.0, 5))
-    setup = np.random.default_rng(size)
-    pop = setup.uniform(b.lower, b.upper, (size, b.dim))
-    rng, oracle_rng = np.random.default_rng(77), np.random.default_rng(77)
-    for gen in range(1, cfg.generations):
-        costs = setup.uniform(size=size)
-        costs[1] = costs[3]  # a tie, broken by the stable sort
-        best_x = pop[np.argmin(costs)].copy()
-        new = _next_generation(pop, costs, best_x, gen, cfg, b, rng)
+    steps, oracle_rng = recorded_run(cfg, b, size)
+    for pop, costs, best_x, gen, new in steps:
         expected = uniform_draws_next_generation(pop, costs, best_x, gen, cfg, b, oracle_rng)
         np.testing.assert_array_equal(new, expected)
-        # the same draws were made: both generators are in the same state
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        pop = new
+    # the same draws were made: both generators are in the same state
+    rng = np.random.default_rng(cfg.seed)
+    rng.uniform(b.lower, b.upper, (size, b.dim))
+    _breeding_schedule(rng, cfg, b.dim)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def per_generation_ga(objective, bounds, cfg):
+    """ga_optimize as first written, drawing each generation's breeding as
+    it breeds it: the run-for-run oracle."""
+    rng = np.random.default_rng(cfg.seed)
+    size, d = cfg.population_size, bounds.dim
+    pop = rng.uniform(bounds.lower, bounds.upper, (size, d))
+    best_x, best_cost = pop[0].copy(), math.inf
+    history, evaluations, truncated = [], 0, False
+    for gen in range(1, cfg.generations + 1):
+        try:
+            costs = np.asarray(objective(pop), dtype=float)
+        except BudgetExhausted as exc:
+            truncated, costs = True, exc.paid
+        if costs.size == 0:
+            break
+        evaluations += costs.size
+        gen_best = int(np.argmin(costs))
+        if costs[gen_best] < best_cost:
+            best_cost, best_x = float(costs[gen_best]), pop[gen_best].copy()
+        history.append(HistoryRecord(step=gen, best_cost=best_cost,
+                                     mean_cost=float(costs.sum() / costs.size),
+                                     evaluations=evaluations))
+        if truncated:
+            break
+        if gen < cfg.generations:
+            pop = per_generation_breed(pop, costs, best_x, gen, cfg, bounds, rng)
+    return OptimizeResult(best_x=best_x, best_cost=best_cost, history=history,
+                          truncated=truncated)
+
+
+def per_generation_breed(pop, costs, best_x, gen, cfg, bounds, rng):
+    size, d = pop.shape
+    pairs = size // 2
+    ranks = _geometric_ranks(rng.random((pairs, 2)), cfg.selection_q, size).astype(int)
+    parents = pop[np.argsort(costs, kind="stable")[ranks]]
+    crossed = rng.random(pairs) < cfg.crossover_rate
+    a = rng.random((np.count_nonzero(crossed), 1))
+    p1, p2 = parents[crossed, 0], parents[crossed, 1]
+    parents[crossed, 0], parents[crossed, 1] = a * p1 + (1.0 - a) * p2, (1.0 - a) * p1 + a * p2
+    children = parents.reshape(-1, d)[:size - 1]
+    rows = (rng.random(size - 1) < cfg.mutation_rate).nonzero()[0]
+    if rows.size:
+        i = rng.integers(d, size=rows.size)
+        toward_upper = rng.random(rows.size) < 0.5
+        r = rng.random(rows.size)
+        expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
+        children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
+                                    toward_upper, r, expo)
+    return np.concatenate([best_x[None], children])
+
+
+def assert_same_run(optimize, oracle, make_objective):
+    """optimize and oracle evaluate the same populations and return the same result."""
+    seen, oracle_seen = [], []
+    res = optimize(make_objective(seen))
+    expected = oracle(make_objective(oracle_seen))
+    assert len(seen) == len(oracle_seen)
+    for X, Y in zip(seen, oracle_seen):
+        np.testing.assert_array_equal(X, Y)
+    np.testing.assert_array_equal(res.best_x, expected.best_x)
+    assert res.best_cost == expected.best_cost
+    assert res.history == expected.history
+    assert res.truncated == expected.truncated
+
+
+def wavy(X):
+    """A multimodal cost over the last axis."""
+    return np.sum(np.sin(3.0 * X) + (X - 0.1) ** 2, axis=-1)
+
+
+def recording(seen):
+    def objective(X):
+        seen.append(X.copy())
+        return wavy(X)
+    return objective
+
+
+NEGATIVE_BOX = Bounds(lower=np.array([-3.0, -1.0, 0.5]), upper=np.array([-1.0, 2.0, 4.0]))
+
+
+@pytest.mark.parametrize("size", [2, 7, 50])
+@pytest.mark.parametrize("generations", [1, 2, 200])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("mutation_rate", [0.0, 0.5])
+def test_ga_matches_per_generation_draws_run_for_run(size, generations, crossover_rate,
+                                                     mutation_rate):
+    cfg = GaConfig(population_size=size, generations=generations,
+                   crossover_rate=crossover_rate, mutation_rate=mutation_rate, seed=size)
+    assert_same_run(lambda f: ga_optimize(f, NEGATIVE_BOX, cfg),
+                    lambda f: per_generation_ga(f, NEGATIVE_BOX, cfg), recording)
+
+
+def test_budget_truncated_ga_matches_per_generation_draws():
+    cfg = GaConfig(population_size=7, generations=10, mutation_rate=0.5, seed=3)
+
+    def truncated(seen):
+        budget = EvalBudget(limit=7 * 4 + 3)
+
+        def cost(x):
+            budget.consume()
+            return float(wavy(x))
+
+        batch = row_by_row(cost)
+
+        def objective(X):
+            seen.append(X.copy())
+            return batch(X)
+        return objective
+
+    assert_same_run(lambda f: ga_optimize(f, NEGATIVE_BOX, cfg),
+                    lambda f: per_generation_ga(f, NEGATIVE_BOX, cfg), truncated)
+    res = ga_optimize(truncated([]), NEGATIVE_BOX, cfg)
+    assert res.truncated and res.history[-1].evaluations == 7 * 4 + 3
 
 
 def test_ga_evaluates_each_generation_in_one_batch():

@@ -65,9 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(config_path: str, seed: int | None = None) -> RunSettings:
-    settings = load_settings(config_path)
-    return settings.with_global_seed(seed)
+def _load(config_path: str, seed: int | None = None):
+    """(settings, problem, ground truth) of a config file.
+
+    A scenario the structure cannot supply, such as more elastic modes
+    than it has, is a configuration error; an eigensolve failure is not.
+    """
+    settings = load_settings(config_path).with_global_seed(seed)
+    try:
+        problem, truth = build_scenario(settings.spec, structure=settings.structure)
+    except ValueError as exc:
+        raise ConfigError(f"[scenario] does not fit the structure: {exc}") from exc
+    return settings, problem, truth
 
 
 def _echo_with_seeds(settings: RunSettings, report):
@@ -82,10 +91,9 @@ def _echo_with_seeds(settings: RunSettings, report):
 
 
 def cmd_run(args) -> int:
-    settings = _load(args.config, args.seed)
+    settings, problem, _ = _load(args.config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    problem, _ = build_scenario(settings.spec, structure=settings.structure)
     selected = METHODS if args.method == "all" else (args.method,)
 
     reports = []
@@ -118,8 +126,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    settings = _load(args.config)
-    problem, _ = build_scenario(settings.spec, structure=settings.structure)
+    settings, problem, _ = _load(args.config)
     cfg = settings.rsm
     X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     budget = EvalBudget()
@@ -132,8 +139,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    settings = _load(args.config)
-    problem, truth = build_scenario(settings.spec, structure=settings.structure)
+    _, problem, truth = _load(args.config)
     structure = problem.structure
     observed = problem.measured.coordinate_map
 

@@ -17,6 +17,7 @@ import numpy as np
 from .beam import BeamElement, BeamStructure
 from .optimizers import GaConfig, SaConfig
 from .scenario import ScenarioSpec, check_scenario, h_beam_structure
+from .surrogate import check_net_fits
 from .updating import RsmConfig
 
 
@@ -215,11 +216,16 @@ def load_settings(path) -> RunSettings:
     for section in ("structure", "scenario", "cost"):
         spec = _build(ScenarioSpec, section, {**vars(spec), **_set_fields(parser, section)})
     structure = _load_structure(parser)
+    model = h_beam_structure(spec) if structure is None else structure
     try:
-        check_scenario(spec, h_beam_structure(spec) if structure is None else structure)
+        check_scenario(spec, model)
     except ValueError as exc:
         raise ConfigError(f"[scenario] does not fit the structure: {exc}") from exc
     ga = _build(GaConfig, "ga", _set_fields(parser, "ga"))
     rsm = _build(RsmConfig, "rsm", {**_set_fields(parser, "rsm"), "ga": ga})
+    try:
+        check_net_fits(model.n_elements, rsm.m_hidden, rsm.n_samples)
+    except ValueError as exc:
+        raise ConfigError(f"[rsm] invalid: {exc}") from exc
     sa = _build(SaConfig, "sa", _set_fields(parser, "sa"))
     return RunSettings(spec=spec, structure=structure, rsm=rsm, ga=ga, sa=sa)

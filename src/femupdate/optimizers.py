@@ -139,12 +139,12 @@ def row_by_row(objective):
 
 
 class EvalBudget:
-    """Running count of objective evaluations, with optional cap; not thread-safe.
+    """One update call's record of FE evaluations, with optional cap; not thread-safe.
 
-    It also holds what one run has solved: costs maps the float64 bytes
-    of each parameter vector with a finite cost to that cost, and solves
-    counts the solves actually run, so a repeated candidate is charged as
-    an evaluation but not solved again (see evaluate).
+    full_objective writes it: calls counts the charged evaluations (see
+    consume), solves the model solves actually run, and costs maps the
+    float64 bytes of each parameter vector with a finite cost to that
+    cost, so a repeated candidate is charged but not solved again.
     """
 
     def __init__(self, limit: int | None = None):
@@ -152,22 +152,6 @@ class EvalBudget:
         self._calls = 0
         self.solves = 0
         self.costs: dict[bytes, float] = {}
-
-    def evaluate(self, params, solve) -> float:
-        """Charge one evaluation of params; return its stored cost or solve().
-
-        Only finite costs are stored, so a failing candidate is solved
-        again every time it is asked for.
-        """
-        self.consume()
-        key = np.asarray(params, dtype=float).tobytes()
-        c = self.costs.get(key)
-        if c is None:
-            self.solves += 1
-            c = solve()
-            if math.isfinite(c):
-                self.costs[key] = c
-        return c
 
     @property
     def calls(self) -> int:

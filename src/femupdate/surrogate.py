@@ -203,6 +203,18 @@ def _flat_loss_and_grad(net: SurrogateNet, data: TrainingSet):
     return f, df
 
 
+def check_net_fits(d_in: int, m_hidden: int, n_samples: int):
+    """Raise ValueError unless the net has fewer weights than training samples.
+
+    A net of d_in inputs and m_hidden hidden units has
+    m_hidden * (d_in + 2) + 1 weights (SurrogateNet.weight_count).
+    """
+    n_weights = m_hidden * (d_in + 2) + 1
+    if n_weights >= n_samples:
+        raise ValueError(f"net has {n_weights} weights but only {n_samples} "
+                         "training samples; need weights < samples")
+
+
 def train(net: SurrogateNet, data: TrainingSet, cycles: int) -> SurrogateNet:
     """Scaled conjugate gradient training (Moller 1993), full batch.
 
@@ -212,10 +224,7 @@ def train(net: SurrogateNet, data: TrainingSet, cycles: int) -> SurrogateNet:
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    if net.weight_count >= data.n_samples:
-        raise ValueError(
-            f"net has {net.weight_count} weights but only {data.n_samples} "
-            "training samples; need weights < samples")
+    check_net_fits(net.d_in, net.m_hidden, data.n_samples)
 
     f, df = _flat_loss_and_grad(net, data)
     w = net.flat_weights()

@@ -3,8 +3,9 @@
 Three routes tune per-element elastic moduli against measured modal
 data: a response-surface loop (MLP surrogate refined by a GA and
 re-anchored on the full model), a GA on the full model, and simulated
-annealing on the full model. All FE evaluations pass through one
-EvalBudget so the methods can be compared by evaluation count.
+annealing on the full model. Every FE evaluation is a full_objective
+call, which records it in the update call's EvalBudget, so the methods
+can be compared by evaluation count.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .modal import (
     pair_shapes, solve_modes,
 )
 from .optimizers import (
-    Bounds, EvalBudget, GaConfig, HistoryRecord, SaConfig, ga_optimize,
+    Bounds, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig, ga_optimize,
     row_by_row, sa_optimize,
 )
-from .surrogate import SurrogateNet, TrainingSet, forward, init_net, target_scaling, train
+from .surrogate import (
+    SurrogateNet, TrainingSet, check_net_fits, forward, init_net, target_scaling, train,
+)
 
 log = logging.getLogger(__name__)
 
@@ -142,22 +145,27 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
                    budget: EvalBudget) -> float:
     """Modal-distance cost of one parameter vector on the full FE model.
 
-    Counts one FE evaluation in budget, which raises BudgetExhausted once
-    its cap is reached. A parameter vector budget has already scored
+    Charges one FE evaluation to budget, which raises BudgetExhausted
+    once its cap is reached. A parameter vector budget has already scored
     returns its stored cost without a new solve. Eigen failures yield
-    +inf, are never stored, and so are solved and logged on every call;
-    optimizers reject the candidate and keep running.
+    +inf and are logged; only finite costs are stored, so a failing
+    candidate is solved and logged on every call. Optimizers reject it
+    and keep running.
     """
-    return budget.evaluate(params, lambda: _solve_cost(problem, params))
-
-
-def _solve_cost(problem: UpdatingProblem, params: np.ndarray) -> float:
-    try:
-        modes = _observed_modes(problem, params)
-    except (EigenSolveError, ValueError) as exc:
-        log.warning("full objective failed for a candidate: %s", exc)
-        return math.inf
-    return _paired_cost(problem, *modes)[1]
+    budget.consume()
+    key = np.asarray(params, dtype=float).tobytes()
+    c = budget.costs.get(key)
+    if c is None:
+        budget.solves += 1
+        try:
+            modes = _observed_modes(problem, params)
+        except (EigenSolveError, ValueError) as exc:
+            log.warning("full objective failed for a candidate: %s", exc)
+            return math.inf
+        c = _paired_cost(problem, *modes)[1]
+        if math.isfinite(c):
+            budget.costs[key] = c
+    return c
 
 
 def _observed_modes(problem: UpdatingProblem, params: np.ndarray):
@@ -232,17 +240,17 @@ def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
     return hz, errors, float(paired_mac.mean()), c
 
 
-def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
-                  final_cost: float, history, budget: EvalBudget,
-                  wall_time_s: float, seeds: dict, config_echo: dict,
-                  truncated: bool = False) -> UpdateReport:
+def _build_report(problem: UpdatingProblem, method: str, res: OptimizeResult, cfg,
+                  budget: EvalBudget, t0: float, seeds: dict) -> UpdateReport:
+    """The report of an update call that began at perf_counter t0 and found res."""
+    wall_time_s = time.perf_counter() - t0
     x0 = problem.initial_parameters()
     initial_hz, initial_err, mac0, initial_cost = _modal_comparison(problem, x0)
-    updated_hz, updated_err, mac1, _ = _modal_comparison(problem, best_x)
+    updated_hz, updated_err, mac1, _ = _modal_comparison(problem, res.best_x)
     return UpdateReport(
         method=method,
         initial_parameters=np.asarray(x0, dtype=float),
-        updated_parameters=np.asarray(best_x, dtype=float),
+        updated_parameters=np.asarray(res.best_x, dtype=float),
         measured_hz=problem.measured.frequencies_hz.copy(),
         initial_hz=initial_hz,
         updated_hz=updated_hz,
@@ -251,14 +259,14 @@ def _build_report(problem: UpdatingProblem, method: str, best_x: np.ndarray,
         mac_mean_initial=mac0,
         mac_mean_updated=mac1,
         initial_cost=initial_cost,
-        final_cost=final_cost,
+        final_cost=res.best_cost,
         fe_evaluations=budget.calls,
         fe_solves=budget.solves,
-        history=list(history),
+        history=list(res.history),
         wall_time_s=wall_time_s,
-        seeds=dict(seeds),
-        config_echo=dict(config_echo),
-        truncated=truncated,
+        seeds=seeds,
+        config_echo=asdict(cfg),
+        truncated=res.truncated,
     )
 
 
@@ -279,13 +287,15 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
 
     Total FE evaluations are n_samples + max_iterations, each one a
     full_objective call. The returned parameters are always
-    full-model evaluated. Design points with a non-finite cost, such as
-    a failed solve, are dropped with a warning; training raises
-    ValueError if too few points remain for the net.
+    full-model evaluated. A net with no fewer weights than n_samples
+    raises ValueError before any solve. Design points with a non-finite
+    cost, such as a failed solve, are dropped with a warning; training
+    raises ValueError if too few points remain for the net.
     """
     t0 = time.perf_counter()
     budget = EvalBudget()
     d = problem.n_params
+    check_net_fits(d, cfg.m_hidden, cfg.n_samples)
 
     X = sample_design(problem.bounds, cfg.n_samples, cfg.sampler_seed)
     t = np.array([full_objective(problem, x, budget) for x in X])
@@ -328,12 +338,8 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
             X[worst] = inner.best_x
             t[worst] = c_full
 
-    elapsed = time.perf_counter() - t0
-    report = _build_report(
-        problem, "rsm", best_x, best_cost, history, budget, elapsed,
-        seeds={"sampler": cfg.sampler_seed, "ga": cfg.ga.seed},
-        config_echo=asdict(cfg),
-    )
+    report = _build_report(problem, "rsm", OptimizeResult(best_x, best_cost, history), cfg,
+                           budget, t0, seeds={"sampler": cfg.sampler_seed, "ga": cfg.ga.seed})
     report.surrogate = net
     report.design = (X, t)
     report.design_best_cost = design_best_cost
@@ -346,10 +352,7 @@ def ga_update(problem: UpdatingProblem, cfg: GaConfig) -> UpdateReport:
     budget = EvalBudget()
     res = ga_optimize(row_by_row(lambda x: full_objective(problem, x, budget)),
                       problem.bounds, cfg)
-    return _build_report(
-        problem, "ga", res.best_x, res.best_cost, res.history, budget,
-        time.perf_counter() - t0, seeds={"ga": cfg.seed},
-        config_echo=asdict(cfg), truncated=res.truncated)
+    return _build_report(problem, "ga", res, cfg, budget, t0, seeds={"ga": cfg.seed})
 
 
 def sa_update(problem: UpdatingProblem, cfg: SaConfig) -> UpdateReport:
@@ -362,7 +365,4 @@ def sa_update(problem: UpdatingProblem, cfg: SaConfig) -> UpdateReport:
     budget = EvalBudget()
     res = sa_optimize(lambda x: full_objective(problem, x, budget),
                       problem.bounds, cfg, x0=problem.initial_parameters())
-    return _build_report(
-        problem, "sa", res.best_x, res.best_cost, res.history, budget,
-        time.perf_counter() - t0, seeds={"sa": cfg.seed},
-        config_echo=asdict(cfg), truncated=res.truncated)
+    return _build_report(problem, "sa", res, cfg, budget, t0, seeds={"sa": cfg.seed})

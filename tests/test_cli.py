@@ -108,7 +108,7 @@ observed_dofs = 0, 2, 4, 6
 beta = 0.5
 
 [rsm]
-n_samples = 20
+n_samples = 50
 max_iterations = 3
 initial_cycles = 30
 incremental_cycles = 2
@@ -149,7 +149,7 @@ def test_load_settings_every_key_lands_on_its_field(tmp_path):
         nominal_modulus=7.1e10, lower_bound=6.5e10, upper_bound=7.5e10,
         ground_truth_perturbations=((1, 6.6e10), (2, 6.8e10)),
         observed_dofs=(0, 2, 4, 6), n_modes=4, noise_std=0.01, beta=0.5, seed=9)
-    assert s.rsm == RsmConfig(n_samples=20, max_iterations=3, initial_cycles=30,
+    assert s.rsm == RsmConfig(n_samples=50, max_iterations=3, initial_cycles=30,
                               incremental_cycles=2, m_hidden=4, ga=ga,
                               sampler_seed=11)
     assert s.ga == ga
@@ -327,6 +327,9 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     ("cost", "beta = -1", "[cost] invalid: beta must be >= 0"),
     ("rsm", "m_hidden = 0", "[rsm] invalid: m_hidden must be >= 1"),
     ("rsm", "m_hidden = -1", "[rsm] invalid: m_hidden must be >= 1"),
+    # on the default H's 12 elements, checked before any FE solve
+    ("rsm", "m_hidden = 20", "[rsm] invalid: net has 281 weights but only 150 training"),
+    ("rsm", "n_samples = 20", "[rsm] invalid: net has 113 weights but only 20 training"),
     ("sa", "initial_temperature = 1e-7",
      "[sa] invalid: initial_temperature must exceed min_temperature"),
 ])
@@ -546,6 +549,20 @@ n_modes = 3
     assert main(["modes", "--config", str(path)]) == 0
     text = capsys.readouterr().out
     assert "[initial]" in text and "[ground_truth]" in text
+
+
+def test_more_modes_than_the_structure_has_exit_2(tmp_path, capsys):
+    # 4 DOFs remain after clamping, so 5 elastic modes cannot be measured
+    path = explicit_beam(tmp_path / "cantilever.ini", 2,
+                         extra="constrained_dofs = 0,1\n\n[scenario]\n"
+                               "perturbations = 1:6.5e10\nn_modes = 5\n")
+    message = ("[scenario] does not fit the structure: "
+               "model yields fewer elastic modes than requested")
+    for command, out in (("run", tmp_path / "out"), ("sample", tmp_path / "design.csv"),
+                         ("modes", tmp_path / "modes.txt")):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_modes_to_file_differs_between_models(small_config, tmp_path):

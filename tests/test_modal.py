@@ -7,7 +7,8 @@ import pytest
 
 from femupdate.beam import SystemMatrices, assemble
 from femupdate.modal import (
-    CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, solve_modes,
+    CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, pair_shapes,
+    solve_modes,
 )
 from femupdate.optimizers import EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario, h_beam_structure
@@ -278,6 +279,15 @@ def test_pair_modes_skips_rigid():
     pairing = pair_modes(calc, measured)[0]
     assert np.all(pairing >= 2)
     np.testing.assert_array_equal(pairing, [2, 3, 4, 5, 6])
+
+
+def test_low_mac_pairing_logs_its_template(caplog):
+    # the benchmark counts these records by logger name and template
+    measured = np.array([[0.1], [0.1], [1.0]])  # MAC 0.0098 with either calc mode
+    with caplog.at_level("WARNING", logger="femupdate.modal"):
+        pair_shapes(np.eye(3)[:, :2], np.zeros(2, dtype=bool), measured)
+    assert [(r.name, r.msg, r.args[0]) for r in caplog.records] == [
+        ("femupdate.modal", "measured mode %d paired with MAC %.3f < 0.5", 0)]
 
 
 def test_pair_modes_insufficient_elastic():

@@ -1,11 +1,13 @@
 """Property tests: MAC range and scale invariance, cost sign, pairing validity,
-the pairing as the one source of the cost's MAC values, and the FE kernel
-of full_objective against the ModalData path.
+the pairing as the one source of the cost's MAC values, the FE kernel
+of full_objective against the ModalData path, and full_objective's
+charge, solve and store rule against fresh budgets.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs and writes nothing to the working tree.
 """
 
+import math
 from functools import cache
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from femupdate.modal import CostWeights, ModalData, cost, mac, pair_modes
-from femupdate.optimizers import EvalBudget
+from femupdate.optimizers import BudgetExhausted, EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import full_objective, solve_observed
 
@@ -157,3 +159,39 @@ def test_kernel_cost_equals_the_modal_data_path(name, data):
                           problem.measured.coordinate_map)
     oracle = cost(calc, problem.measured, problem.weights, pair_modes(calc, problem.measured))
     assert full_objective(problem, x, EvalBudget()) == oracle
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_full_objective_charges_solves_and_stores_like_fresh_budgets(data):
+    # a fresh EvalBudget per call holds no stored costs: it is the oracle
+    problem = kernel_problem("h12")
+    pool = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        u = data.draw(arrays(float, problem.n_params, elements=st.floats(0.0, 1.0)))
+        pool.append(problem.bounds.lower + u * problem.bounds.range)
+    failing = pool[0].copy()
+    failing[data.draw(st.integers(0, problem.n_params - 1))] = np.nan
+    pool.append(failing)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    limit = data.draw(st.none() | st.integers(0, len(picks)))
+
+    budget = EvalBudget(limit=limit)
+    charged, solves, stored = 0, 0, {}
+    for i in picks:
+        x = pool[i].copy()  # equal values, a new array
+        if charged == limit:
+            with pytest.raises(BudgetExhausted):
+                full_objective(problem, x, budget)
+            continue
+        c = full_objective(problem, x, budget)
+        oracle = full_objective(problem, x, EvalBudget())
+        assert c == oracle or not (math.isfinite(c) or math.isfinite(oracle))
+        charged += 1
+        if x.tobytes() not in stored:
+            solves += 1
+            if math.isfinite(c):
+                stored[x.tobytes()] = c
+    assert budget.calls == charged
+    assert budget.solves == solves
+    assert budget.costs == stored

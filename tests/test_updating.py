@@ -248,7 +248,9 @@ def test_nonfinite_candidate_solved_and_logged_every_time(default_problem, count
     with caplog.at_level("WARNING", logger="femupdate.updating"):
         assert full_objective(problem, bad, budget) == np.inf
         assert full_objective(problem, bad.copy(), budget) == np.inf
-    failures = [r for r in caplog.records if "failed for a candidate" in r.getMessage()]
+    # the benchmark counts these records by logger name and template
+    failures = [r for r in caplog.records if (r.name, r.msg) == (
+        "femupdate.updating", "full objective failed for a candidate: %s")]
     assert len(failures) == len(counted_solves) == budget.solves == budget.calls == 2
     assert budget.costs == {}
 
@@ -472,11 +474,15 @@ def test_rsm_raises_when_every_design_point_fails(default_problem, monkeypatch):
         rsm_update(problem, small_rsm_config())
 
 
-def test_rsm_rejects_oversized_net(default_problem):
+def test_rsm_rejects_oversized_net(default_problem, counted_solves):
     problem, _ = default_problem
-    # 20 hidden units on 12 inputs make 281 weights for 40 design points
-    with pytest.raises(ValueError, match="weights"):
-        rsm_update(problem, small_rsm_config(m_hidden=20))
+    # on 12 inputs, 20 hidden units make 281 weights and 8 make 113; the
+    # net is checked before the design is paid for
+    for cfg, message in ((small_rsm_config(m_hidden=20), "281 weights but only 40"),
+                         (RsmConfig(n_samples=20), "113 weights but only 20")):
+        with pytest.raises(ValueError, match=message):
+            rsm_update(problem, cfg)
+    assert counted_solves == []
 
 
 # ---------------------------------------------------------------- GA / SA

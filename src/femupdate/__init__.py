@@ -19,8 +19,8 @@ from .optimizers import (
 from .scenario import ScenarioSpec, build_scenario, check_scenario, h_beam_structure
 from .surrogate import SurrogateNet, TrainingSet, forward, grad, init_net, loss, train
 from .updating import (
-    RsmConfig, UpdateReport, UpdatingProblem, compute_gamma_weights,
-    full_objective, ga_update, rsm_update, sa_update, sample_design,
+    RsmConfig, UpdateReport, UpdatingProblem, full_objective, ga_update, rsm_update,
+    sa_update, sample_design,
 )
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "metropolis_accept", "nonuniform_mutate", "row_by_row", "sa_optimize",
     "ScenarioSpec", "build_scenario", "check_scenario", "h_beam_structure",
     "SurrogateNet", "TrainingSet", "forward", "grad", "init_net", "loss", "train",
-    "RsmConfig", "UpdateReport", "UpdatingProblem", "compute_gamma_weights",
-    "full_objective", "ga_update", "rsm_update", "sa_update",
-    "sample_design",
+    "RsmConfig", "UpdateReport", "UpdatingProblem", "full_objective", "ga_update",
+    "rsm_update", "sa_update", "sample_design",
 ]

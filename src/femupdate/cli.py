@@ -24,7 +24,8 @@ from .report import (
     render_modes_summary, write_comparison, write_design, write_history,
     write_report,
 )
-from .scenario import build_scenario
+from .scenario import build_scenario, h_beam_structure
+from .surrogate import check_net_fits
 from .updating import (
     full_objective, ga_update, rsm_update, sa_update, sample_design, solve_observed,
 )
@@ -68,12 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(config_path: str, seed: int | None = None):
     """(settings, problem, ground truth) of a config file.
 
-    A scenario the structure cannot supply, such as more elastic modes
-    than it has, is a configuration error; an eigensolve failure is not.
+    Builds the structure once. An RSM net too large for it and a scenario
+    that does not fit it are configuration errors raised before any solve,
+    and so is one it cannot supply, such as more elastic modes than it
+    has; an eigensolve failure is not.
     """
     settings = load_settings(config_path).with_global_seed(seed)
+    structure = settings.structure or h_beam_structure(settings.spec)
     try:
-        problem, truth = build_scenario(settings.spec, structure=settings.structure)
+        check_net_fits(structure.n_elements, settings.rsm.m_hidden, settings.rsm.n_samples)
+    except ValueError as exc:
+        raise ConfigError(f"[rsm] invalid: {exc}") from exc
+    try:
+        problem, truth = build_scenario(settings.spec, structure)
     except ValueError as exc:
         raise ConfigError(f"[scenario] does not fit the structure: {exc}") from exc
     return settings, problem, truth

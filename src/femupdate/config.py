@@ -10,14 +10,14 @@ errors. See the README for the full schema and units.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .beam import BeamElement, BeamStructure
 from .optimizers import GaConfig, SaConfig
-from .scenario import ScenarioSpec, check_scenario, h_beam_structure
-from .surrogate import check_net_fits
+from .scenario import ScenarioSpec
 from .updating import RsmConfig
 
 
@@ -88,6 +88,14 @@ def _get(parser, section, key, cast):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
+def _finite(raw: str) -> float:
+    """float(raw) if it is finite; nan and inf would slip past the range checks."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_perturbations(raw: str) -> tuple:
     out = []
     for chunk in raw.split(","):
@@ -95,7 +103,7 @@ def _parse_perturbations(raw: str) -> tuple:
         if not chunk:
             continue
         idx, _, value = chunk.partition(":")
-        out.append((int(idx), float(value)))
+        out.append((int(idx), _finite(value)))
     return tuple(out)
 
 
@@ -113,7 +121,7 @@ def _parse_nodes(raw: str) -> np.ndarray:
         chunk = chunk.strip()
         if not chunk:
             continue
-        x, y = (float(v) for v in chunk.split(","))
+        x, y = (_finite(v) for v in chunk.split(","))
         rows.append((x, y))
     return np.array(rows)
 
@@ -125,8 +133,8 @@ def _parse_elements(raw: str) -> list[BeamElement]:
         if not chunk:
             continue
         a, b, area, inertia, rho, e_mod = chunk.split(",")
-        out.append(BeamElement(int(a), int(b), float(area), float(inertia),
-                               float(rho), float(e_mod)))
+        out.append(BeamElement(int(a), int(b), _finite(area), _finite(inertia),
+                               _finite(rho), _finite(e_mod)))
     return out
 
 
@@ -136,7 +144,7 @@ PARSERS = {
     "observed_dofs": _parse_int_list,
     "steps_per_temperature": _parse_steps,
 }
-CASTS = {int: int, float: float}
+CASTS = {int: int, float: _finite}
 
 
 def _set_fields(parser, section) -> dict:
@@ -190,7 +198,8 @@ def load_settings(path) -> RunSettings:
     """Parse a config file into run settings.
 
     Raises ConfigError with section/field diagnostics on any problem,
-    including a section or key the schema does not have.
+    including a section or key the schema does not have. The fit to the
+    structure is checked where the problem is built (cli._load).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -216,16 +225,7 @@ def load_settings(path) -> RunSettings:
     for section in ("structure", "scenario", "cost"):
         spec = _build(ScenarioSpec, section, {**vars(spec), **_set_fields(parser, section)})
     structure = _load_structure(parser)
-    model = h_beam_structure(spec) if structure is None else structure
-    try:
-        check_scenario(spec, model)
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] does not fit the structure: {exc}") from exc
     ga = _build(GaConfig, "ga", _set_fields(parser, "ga"))
     rsm = _build(RsmConfig, "rsm", {**_set_fields(parser, "rsm"), "ga": ga})
-    try:
-        check_net_fits(model.n_elements, rsm.m_hidden, rsm.n_samples)
-    except ValueError as exc:
-        raise ConfigError(f"[rsm] invalid: {exc}") from exc
     sa = _build(SaConfig, "sa", _set_fields(parser, "sa"))
     return RunSettings(spec=spec, structure=structure, rsm=rsm, ga=ga, sa=sa)

@@ -9,11 +9,11 @@ sequential. Every candidate handed to an objective lies inside the
 bounds.
 
 No GA breeding draw (selection, crossover, mutation) depends on a cost,
-so a GA run makes all of them once, before its first generation; a
-generation is then a few array operations. The schedule's memory grows
-with generations * population_size: it keeps about two eight-byte values
-per generation and individual (0.17 MB at 200 x 50), twice that while
-it is drawn.
+so a GA run makes them in blocks of SCHEDULE_BLOCK generations, each
+just before the first generation it breeds; a generation is then a few
+array operations. A block keeps about two eight-byte values per
+generation and individual (0.2 MB at 256 x 50), twice that while it is
+drawn, so the schedule's memory does not grow with generations.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+# generations whose GA breeding draws are made together: the production
+# 200 generations are one block
+SCHEDULE_BLOCK = 256
 
 
 @dataclass
@@ -285,13 +289,13 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
     history row. History rows carry per-generation best/mean cost and
     cumulative evaluations; the best-ever individual is returned.
 
-    The run's breeding draws are made up front (see _breeding_schedule).
+    The run's breeding draws are made a block of generations at a time
+    (see _breeding_schedule).
     """
     rng = np.random.default_rng(cfg.seed)
     size, d = cfg.population_size, bounds.dim
 
     pop = rng.uniform(bounds.lower, bounds.upper, (size, d))
-    ranks, a, b, mutations = _breeding_schedule(rng, cfg, d)
     best_x = pop[0].copy()
     best_cost = math.inf
     history: list[HistoryRecord] = []
@@ -324,7 +328,10 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
             break
         # the next population: the incumbent best (elitism of 1), then the
         # children of P // 2 selected pairs, the last one dropped when P is even
-        g = gen - 1
+        g = (gen - 1) % SCHEDULE_BLOCK
+        if g == 0:
+            ranks, a, b, mutations = _breeding_schedule(
+                rng, cfg, d, min(SCHEDULE_BLOCK, cfg.generations - gen))
         parents = pop.take(costs.argsort(kind="stable").take(ranks[g]), axis=0)  # (pairs, 2, d)
         nxt = np.empty((2 * len(parents) + 1, d))
         nxt[0] = best_x
@@ -333,8 +340,8 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
         # a = 1, b = 0 returns an uncrossed pair exactly
         np.multiply(a[g], parents, out=by_pair)
         by_pair += b[g] * parents[:, ::-1]
-        if gen in mutations:
-            rows, i, toward_upper, r = mutations[gen]
+        if g in mutations:
+            rows, i, toward_upper, r = mutations[g]
             expo = (1.0 - gen / cfg.generations) ** cfg.mutation_shape_b
             children[rows, i] = _mutate(children[rows, i], bounds.lower[i], bounds.upper[i],
                                         toward_upper, r, expo)
@@ -344,8 +351,8 @@ def ga_optimize(objective, bounds: Bounds, cfg: GaConfig) -> OptimizeResult:
                           history=history, truncated=truncated)
 
 
-def _breeding_schedule(rng, cfg: GaConfig, d: int):
-    """Every breeding draw of a GA run, for generations 1 .. generations - 1.
+def _breeding_schedule(rng, cfg: GaConfig, d: int, gens: int):
+    """The breeding draws of the next gens generations of a GA run.
 
     Generation g breeds P - 1 children from P // 2 parent pairs; pair k
     gives children 2k and 2k + 1. Its draws are made in this order:
@@ -355,13 +362,14 @@ def _breeding_schedule(rng, cfg: GaConfig, d: int):
     coordinates (integers) and the direction and step uniforms of the
     mutated children, in child order.
 
-    Returns ranks (G - 1, pairs, 2), the selected ascending-cost ranks;
-    crossover weights a and b = 1 - a, each (G - 1, pairs, 1, 1), with
-    a = 1 for a pair not crossed; and a dict from generation to its
-    mutated children: (rows, coordinates, toward_upper, r).
+    Returns ranks (gens, pairs, 2), the selected ascending-cost ranks;
+    crossover weights a and b = 1 - a, each (gens, pairs, 1, 1), with
+    a = 1 for a pair not crossed; and a dict from the generation's index
+    in the block to its mutated children: (rows, coordinates,
+    toward_upper, r).
     """
     size = cfg.population_size
-    pairs, n_gates, gens = size // 2, size - 1, cfg.generations - 1
+    pairs, n_gates = size // 2, size - 1
     select = np.empty((gens, 3 * pairs))  # selection uniforms, then crossover gates
     a = np.ones((gens, pairs))
     mutations = {}
@@ -376,7 +384,7 @@ def _breeding_schedule(rng, cfg: GaConfig, d: int):
             rows = (tail[c:] < cfg.mutation_rate).nonzero()[0]
             i = rng.integers(d, size=rows.size)
             u = rng.random(2 * rows.size)
-            mutations[g + 1] = rows, i, u[:rows.size] < 0.5, u[rows.size:]
+            mutations[g] = rows, i, u[:rows.size] < 0.5, u[rows.size:]
 
     ranks = _geometric_ranks(select[:, :2 * pairs], cfg.selection_q, size).astype(int)
     a = a.reshape(gens, pairs, 1, 1)

@@ -33,7 +33,7 @@ import numpy as np
 from .beam import BeamElement, BeamStructure
 from .modal import CostWeights, ModalData, pair_modes
 from .optimizers import Bounds
-from .updating import UpdatingProblem, compute_gamma_weights, solve_observed
+from .updating import UpdatingProblem, solve_observed
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +68,9 @@ class ScenarioSpec:
         if min(self.left_flange_elements, self.right_flange_elements,
                self.crossbar_elements) < 1:
             raise ValueError("each run needs at least one element")
+        if min(self.area, self.second_moment, self.density, self.nominal_modulus) <= 0.0:
+            raise ValueError("area, second_moment, density and nominal_modulus "
+                             "must be positive")
         if not 0.0 < self.lower_bound < self.upper_bound:
             raise ValueError("need 0 < lower_bound < upper_bound")
         if self.n_modes < 1:
@@ -178,10 +181,12 @@ def build_scenario(spec: ScenarioSpec,
     moduli are the initial model, and the true moduli are those with the
     spec's perturbations applied. The measured ModalData is the
     ground-truth model's elastic modes restricted to the observed DOFs,
-    optionally polluted with independent Gaussian relative noise. Gamma
-    weights come from the initial model's frequency errors. Inputs that
-    do not fit the structure raise ValueError (check_scenario) before any
-    solve.
+    optionally polluted with independent Gaussian relative noise; noise
+    that drives a frequency to zero or below raises ValueError. Gamma
+    weights come from the initial model's frequency errors against the
+    MAC-paired measured modes, which may come in another order. Inputs
+    that do not fit the structure raise ValueError (check_scenario)
+    before any solve.
     """
     if structure is None:
         structure = h_beam_structure(spec)
@@ -210,15 +215,20 @@ def build_scenario(spec: ScenarioSpec,
     if spec.noise_std > 0.0:
         rng = np.random.default_rng(spec.seed)
         freqs = measured.frequencies * (1.0 + spec.noise_std * rng.standard_normal(spec.n_modes))
+        if (freqs <= 0.0).any():
+            i = int(np.argmax(freqs <= 0.0))
+            raise ValueError(f"noise_std = {spec.noise_std:g} drives measured mode {i + 1} "
+                             f"to a frequency <= 0 ({freqs[i]:.3g} rad/s)")
         shapes = measured.mode_shapes * (
             1.0 + spec.noise_std * rng.standard_normal(measured.mode_shapes.shape))
         order = np.argsort(freqs)
         measured = ModalData(frequencies=freqs[order], mode_shapes=shapes[:, order],
                              coordinate_map=measured.coordinate_map)
 
+    # each measured mode against its MAC-paired initial mode, which need not be the i-th
     initial_modes = solve_observed(structure, None, spec.n_modes, observed)
     pairing, _ = pair_modes(initial_modes, measured)
-    gamma = compute_gamma_weights(initial_modes.select_modes(pairing), measured)
+    gamma = (measured.frequencies_hz - initial_modes.frequencies_hz[pairing]) ** 2
 
     n_el = structure.n_elements
     problem = UpdatingProblem(

@@ -203,19 +203,6 @@ def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
     return _lowest_modes(assemble(structure, moduli), n_modes).at_coordinates(observed)
 
 
-def compute_gamma_weights(initial: ModalData, measured: ModalData) -> np.ndarray:
-    """Per-mode frequency weights from the initial model's errors.
-
-    gamma_i = (f_i^m - f_i^0)^2 in Hz^2, on already-paired sets. Squared
-    errors in Hz keep the cost's frequency term comparable to the
-    beta-weighted MAC term; relative errors would make it fourth-order
-    small.
-    """
-    if initial.n_modes != measured.n_modes:
-        raise ValueError("mode sets must be paired")
-    return (measured.frequencies_hz - initial.frequencies_hz) ** 2
-
-
 def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
     """n Latin-hypercube design points in the box.
 

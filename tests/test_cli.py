@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from femupdate.cli import main
+from femupdate.cli import _load, main
 from femupdate.config import ConfigError, load_settings
 from femupdate.optimizers import GaConfig, SaConfig
 from femupdate.scenario import ScenarioSpec, build_scenario
@@ -262,7 +262,7 @@ def test_default_perturbations_outside_short_cantilever_exit_2(tmp_path, capsys)
     path = explicit_beam(tmp_path / "cantilever.ini", 2,
                          extra="constrained_dofs = 0,1\n\n[scenario]\nn_modes = 3\n")
     with pytest.raises(ConfigError, match="perturbation index 2 out of range"):
-        load_settings(path)
+        _load(path)
     assert main(["modes", "--config", str(path)]) == 2
     assert "perturbation index 2 out of range" in capsys.readouterr().err
 
@@ -308,7 +308,7 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     else:
         path.write_text(scenario)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        load_settings(path)
+        _load(path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--method", "ga",
                  "--out", str(out)]) == 2
@@ -337,7 +337,84 @@ def test_invalid_run_setting_exit_2(tmp_path, capsys, section, setting, message)
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\n{setting}\n")
     with pytest.raises(ConfigError, match=re.escape(message)):
-        load_settings(path)
+        _load(path)
+    assert main(["modes", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_load_builds_the_h_fixture_once_and_checks_it_once(tmp_path, monkeypatch):
+    import femupdate.cli
+    import femupdate.scenario
+    import femupdate.updating
+
+    calls = []
+
+    def counted(name, module):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (femupdate.cli, femupdate.scenario):
+        counted("h_beam_structure", module)
+    counted("check_scenario", femupdate.scenario)
+    counted("solve_modes", femupdate.updating)
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\nnoise_std = 0.01\n")
+    _load(path)
+    assert sorted(set(calls)) == ["check_scenario", "h_beam_structure", "solve_modes"]
+    assert calls.count("h_beam_structure") == calls.count("check_scenario") == 1
+    # an oversized net is refused before the scenario is checked or solved
+    calls.clear()
+    path.write_text("[rsm]\nm_hidden = 20\n")
+    with pytest.raises(ConfigError, match=re.escape("[rsm] invalid: net has 281 weights")):
+        _load(path)
+    assert calls == ["h_beam_structure"]
+
+
+def test_noise_driving_a_frequency_below_zero_exit_2(tmp_path, capsys):
+    path = tmp_path / "noisy.ini"
+    path.write_text("[scenario]\nnoise_std = 0.6\nseed = 3\n")
+    assert main(["modes", "--config", str(path)]) == 2
+    assert "noise_std = 0.6 drives measured mode 2 to a frequency <= 0" \
+        in capsys.readouterr().err
+
+
+def test_run_with_swapped_measured_modes(tmp_path):
+    # seed 4 at this noise swaps two measured modes against the initial model's
+    path = tmp_path / "noisy.ini"
+    path.write_text("[scenario]\nnoise_std = 0.05\n")
+    assert main(["run", "--config", str(path), "--method", "ga",
+                 "--out", str(tmp_path / "out"), "--seed", "4"]) == 0
+    # one observed coordinate pairs the modes out of order too
+    path.write_text("[scenario]\nobserved_dofs = 0\n")
+    assert main(["modes", "--config", str(path), "--out", str(tmp_path / "m.txt")]) == 0
+
+
+TWO_ELEMENTS = "elements = 0,1,3e-4,2.5e-9,2700,{e}; 1,2,3e-4,2.5e-9,2700,7e10\n"
+
+
+# each once misrouted: exit 1, a run on NaN costs, or another section's name
+@pytest.mark.parametrize("text, message", [
+    ("[structure]\narea = 0\n", "[structure] invalid: area, second_moment, density "
+                                  "and nominal_modulus must be positive"),
+    ("[structure]\narea = nan\n", "[structure] area: cannot parse 'nan' (not a finite"),
+    ("[structure]\nnominal_modulus = nan\n", "[structure] nominal_modulus: cannot parse"),
+    ("[structure]\nnodes = 0,0; 0.1,0; inf,0\n" + TWO_ELEMENTS.format(e="7e10"),
+     "[structure] nodes: cannot parse '0,0; 0.1,0; inf,0' (not a finite number)"),
+    ("[structure]\nnodes = 0,0; 0.1,0; 0.2,0\n" + TWO_ELEMENTS.format(e="inf"),
+     "[structure] elements: cannot parse"),
+    ("[scenario]\nnoise_std = nan\n", "[scenario] noise_std: cannot parse 'nan'"),
+    ("[scenario]\nupper_bound = inf\n", "[scenario] upper_bound: cannot parse 'inf'"),
+    ("[cost]\nbeta = nan\n", "[cost] beta: cannot parse 'nan' (not a finite number)"),
+])
+def test_config_error_names_the_section_of_the_bad_key(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _load(path)
     assert main(["modes", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
 

@@ -1,10 +1,12 @@
 """GA/SA operator statistics, convergence checks and budget accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import femupdate.optimizers
 from femupdate.optimizers import (
     Bounds, BudgetExhausted, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig,
     _breeding_schedule, _geometric_ranks, _mutate, arithmetic_crossover,
@@ -370,7 +372,7 @@ def test_next_generation_matches_uniform_draws_oracle(size, crossover_rate):
     # the same draws were made: both generators are in the same state
     rng = np.random.default_rng(cfg.seed)
     rng.uniform(b.lower, b.upper, (size, b.dim))
-    _breeding_schedule(rng, cfg, b.dim)
+    _breeding_schedule(rng, cfg, b.dim, cfg.generations - 1)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -487,6 +489,44 @@ def test_budget_truncated_ga_matches_per_generation_draws():
                     lambda f: per_generation_ga(f, NEGATIVE_BOX, cfg), truncated)
     res = ga_optimize(truncated([]), NEGATIVE_BOX, cfg)
     assert res.truncated and res.history[-1].evaluations == 7 * 4 + 3
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("generations", [4, 7, 30])
+def test_ga_drawn_in_blocks_matches_the_one_block_run(monkeypatch, block, generations):
+    cfg = GaConfig(population_size=7, generations=generations, mutation_rate=0.5, seed=5)
+
+    def blocked(objective):
+        with monkeypatch.context() as m:
+            m.setattr(femupdate.optimizers, "SCHEDULE_BLOCK", block)
+            return ga_optimize(objective, NEGATIVE_BOX, cfg)
+
+    assert generations - 1 <= femupdate.optimizers.SCHEDULE_BLOCK
+    assert_same_run(blocked, lambda f: ga_optimize(f, NEGATIVE_BOX, cfg), recording)
+
+
+def schedule_memory(generations):
+    """Bytes a GA run allocates beyond what it returns: its peak traced
+    memory less the memory still held when it has returned."""
+    b = Bounds(lower=np.zeros(12), upper=np.ones(12))
+    cfg = GaConfig(population_size=50, generations=generations, seed=1)
+    tracemalloc.start()
+    try:
+        res = ga_optimize(lambda X: np.sum(X * X, axis=1), b, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.history) == generations
+    return peak - held
+
+
+def test_ga_schedule_memory_does_not_grow_with_generations():
+    schedule_memory(10)  # warm up: import-time and first-call allocations
+    short, long = schedule_memory(600), schedule_memory(2400)
+    # drawn up front, the schedule would hold about 1.5 MB more per 1 000
+    # generations of 50 individuals; one block of 256 is about 0.2 MB
+    assert long < short + 250_000
+    assert long < 1_500_000
 
 
 def test_ga_evaluates_each_generation_in_one_batch():

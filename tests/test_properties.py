@@ -3,8 +3,7 @@ the pairing as the one source of the cost's MAC values, the FE kernel
 of full_objective against the ModalData path, and full_objective's
 charge, solve and store rule against fresh budgets.
 
-Examples are derandomized and no example database is kept, so every run
-checks the same inputs and writes nothing to the working tree.
+The hypothesis profile (derandomized, no database) is set in conftest.py.
 """
 
 import math
@@ -20,7 +19,7 @@ from femupdate.optimizers import BudgetExhausted, EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import full_objective, solve_observed
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=75)
+PROPERTY = settings(max_examples=75)
 
 ENTRIES = st.floats(-10.0, 10.0)
 FACTORS = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
@@ -149,7 +148,7 @@ def kernel_problem(name):
 
 
 @pytest.mark.parametrize("name", list(KERNEL_FIXTURES))
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_kernel_cost_equals_the_modal_data_path(name, data):
     problem = kernel_problem(name)
@@ -161,7 +160,7 @@ def test_kernel_cost_equals_the_modal_data_path(name, data):
     assert full_objective(problem, x, EvalBudget()) == oracle
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_full_objective_charges_solves_and_stores_like_fresh_budgets(data):
     # a fresh EvalBudget per call holds no stored costs: it is the oracle

@@ -14,7 +14,7 @@ from femupdate.optimizers import (
 )
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.updating import (
-    RsmConfig, UpdatingProblem, compute_gamma_weights, full_objective, rsm_update,
+    RsmConfig, UpdatingProblem, full_objective, rsm_update,
     ga_update, sa_update, sample_design,
 )
 import femupdate.modal
@@ -319,36 +319,6 @@ def test_rsm_and_sa_solve_every_charged_candidate(default_problem, counted_solve
     assert report.fe_solves == report.fe_evaluations  # neither repeats a candidate
     # one assembly per solve, none to set up the evaluation
     assert len(counted_assembly) == len(counted_solves)
-
-
-# ---------------------------------------------------------------- gamma
-
-
-def test_gamma_zero_when_initial_matches_measured():
-    shapes = np.eye(3)
-    a = ModalData(frequencies=[1.0, 2.0, 3.0], mode_shapes=shapes,
-                  coordinate_map=np.arange(3))
-    np.testing.assert_array_equal(compute_gamma_weights(a, a), np.zeros(3))
-
-
-def test_gamma_hand_value():
-    shapes = np.ones((2, 1))
-    # 90 Hz against 100 Hz, given in rad/s
-    init = ModalData(frequencies=[2.0 * np.pi * 90.0], mode_shapes=shapes,
-                     coordinate_map=[0, 1])
-    meas = ModalData(frequencies=[2.0 * np.pi * 100.0], mode_shapes=shapes,
-                     coordinate_map=[0, 1])
-    np.testing.assert_allclose(compute_gamma_weights(init, meas), [100.0])  # Hz^2
-
-
-def test_gamma_largest_for_largest_mismatch():
-    shapes = np.eye(3)
-    init = ModalData(frequencies=[95.0, 180.0, 310.0], mode_shapes=shapes,
-                     coordinate_map=np.arange(3))
-    meas = ModalData(frequencies=[100.0, 200.0, 300.0], mode_shapes=shapes,
-                     coordinate_map=np.arange(3))
-    g = compute_gamma_weights(init, meas)
-    assert np.argmax(g) == 1  # 20 rad/s error beats 5 and 10 rad/s
 
 
 # ---------------------------------------------------------------- sampling

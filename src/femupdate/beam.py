@@ -54,6 +54,8 @@ class BeamStructure:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("nodes must be an (n_nodes, 2) coordinate array")
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("nodes must have finite coordinates")
         if not self.elements:
             raise ValueError("structure has no elements")
         n = self.n_nodes
@@ -63,8 +65,9 @@ class BeamStructure:
             if not (0 <= e.node_a < n and 0 <= e.node_b < n):
                 raise ValueError(f"element {idx} references a missing node")
             for name in ("area", "second_moment", "density", "elastic_modulus"):
-                if getattr(e, name) <= 0.0:
-                    raise ValueError(f"element {idx}: {name} must be strictly positive")
+                if not 0.0 < getattr(e, name) < np.inf:  # fails on nan too
+                    raise ValueError(f"element {idx}: {name} must be strictly positive "
+                                     "and finite")
             if self.element_length(idx) <= 0.0:
                 raise ValueError(f"element {idx} has zero length")
         for dof in self.constrained_dofs:

@@ -4,13 +4,14 @@ Sections: [structure], [scenario], [cost] (together ScenarioSpec),
 [rsm], [ga], [sa]. Each key fills the dataclass field of its name and an
 unset key keeps the field's default, so an empty file describes the
 default fixture at production settings. Unknown sections and keys are
-errors. See the README for the full schema and units.
+errors. The loader only parses: the dataclass a value fills checks it,
+finiteness included, and the error names the value's section. See the
+README for the full schema and units.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -88,14 +89,6 @@ def _get(parser, section, key, cast):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
-def _finite(raw: str) -> float:
-    """float(raw) if it is finite; nan and inf would slip past the range checks."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
 def _parse_perturbations(raw: str) -> tuple:
     out = []
     for chunk in raw.split(","):
@@ -103,7 +96,7 @@ def _parse_perturbations(raw: str) -> tuple:
         if not chunk:
             continue
         idx, _, value = chunk.partition(":")
-        out.append((int(idx), _finite(value)))
+        out.append((int(idx), float(value)))
     return tuple(out)
 
 
@@ -121,7 +114,7 @@ def _parse_nodes(raw: str) -> np.ndarray:
         chunk = chunk.strip()
         if not chunk:
             continue
-        x, y = (_finite(v) for v in chunk.split(","))
+        x, y = (float(v) for v in chunk.split(","))
         rows.append((x, y))
     return np.array(rows)
 
@@ -133,18 +126,16 @@ def _parse_elements(raw: str) -> list[BeamElement]:
         if not chunk:
             continue
         a, b, area, inertia, rho, e_mod = chunk.split(",")
-        out.append(BeamElement(int(a), int(b), _finite(area), _finite(inertia),
-                               _finite(rho), _finite(e_mod)))
+        out.append(BeamElement(int(a), int(b), *map(float, (area, inertia, rho, e_mod))))
     return out
 
 
-# keys whose text is not one scalar of the field's default type
+# keys whose text is not one scalar of the field's default type, int or float
 PARSERS = {
     "perturbations": _parse_perturbations,
     "observed_dofs": _parse_int_list,
     "steps_per_temperature": _parse_steps,
 }
-CASTS = {int: int, float: _finite}
 
 
 def _set_fields(parser, section) -> dict:
@@ -155,7 +146,7 @@ def _set_fields(parser, section) -> dict:
     for key in keys:
         name = FIELD_OF_KEY.get(key, key)
         if name in defaults and parser.has_option(section, key):
-            cast = PARSERS.get(key) or CASTS[type(defaults[name])]
+            cast = PARSERS.get(key) or type(defaults[name])
             out[name] = _get(parser, section, key, cast)
     return out
 

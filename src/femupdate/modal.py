@@ -39,9 +39,9 @@ class ModalData:
     Parameters
     ----------
     frequencies : (n_modes,) array
-        Natural frequencies in rad/s, ascending and non-negative.
+        Natural frequencies in rad/s, ascending, non-negative and finite.
     mode_shapes : (n_coords, n_modes) array
-        One column per mode; rows follow coordinate_map.
+        One column per mode, finite; rows follow coordinate_map.
     coordinate_map : (n_coords,) int array
         Global DOF index of each mode-shape row.
     rigid : (n_modes,) bool array, optional
@@ -63,14 +63,16 @@ class ModalData:
         if self.rigid is None:
             self.rigid = np.zeros(n, dtype=bool)
         self.rigid = np.atleast_1d(np.asarray(self.rigid, dtype=bool))
-        if np.any(self.frequencies < 0.0):
-            raise ValueError("frequencies must be non-negative")
+        if not np.all((self.frequencies >= 0.0) & (self.frequencies < np.inf)):
+            raise ValueError("frequencies must be non-negative and finite")
         if np.any(np.diff(self.frequencies) < 0.0):
             raise ValueError("frequencies must be sorted ascending")
         if self.mode_shapes.shape[1] != n:
             raise ValueError("mode-shape column count must equal frequency count")
         if self.mode_shapes.shape[0] != self.coordinate_map.size:
             raise ValueError("mode-shape row count must match coordinate_map")
+        if not np.isfinite(self.mode_shapes).all():
+            raise ValueError("mode shapes must be finite")
         if self.rigid.size != n:
             raise ValueError("need one rigid flag per mode")
 

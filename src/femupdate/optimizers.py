@@ -43,6 +43,8 @@ class Bounds:
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound vectors must have equal length")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
 
@@ -79,6 +81,8 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.selection_q < 1.0:
             raise ValueError("selection_q must lie strictly in (0, 1)")
+        if not 0.0 <= self.mutation_shape_b < math.inf:
+            raise ValueError("mutation_shape_b must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -100,10 +104,10 @@ class SaConfig:
             raise ValueError("n_runs must be >= 1")
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
-        if self.min_temperature <= 0.0:
-            raise ValueError("temperatures must be positive")
-        if self.initial_temperature <= self.min_temperature:
-            raise ValueError("initial_temperature must exceed min_temperature")
+        if not 0.0 < self.min_temperature < math.inf:
+            raise ValueError("temperatures must be positive and finite (min_temperature)")
+        if not self.min_temperature < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must exceed min_temperature and be finite")
         if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
             raise ValueError("steps_per_temperature must be >= 1")
         if self.seed < 0:

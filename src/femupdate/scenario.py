@@ -62,23 +62,28 @@ class ScenarioSpec:
     seed: int = 2024
 
     def __post_init__(self):
-        if min(self.crossbar_length, self.left_flange_length,
-               self.right_flange_length) <= 0.0:
-            raise ValueError("run lengths must be positive")
+        # each float condition fails on nan and +-inf as well
+        for name in ("crossbar_length", "left_flange_length", "right_flange_length"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"run lengths must be positive and finite ({name})")
         if min(self.left_flange_elements, self.right_flange_elements,
                self.crossbar_elements) < 1:
             raise ValueError("each run needs at least one element")
-        if min(self.area, self.second_moment, self.density, self.nominal_modulus) <= 0.0:
-            raise ValueError("area, second_moment, density and nominal_modulus "
-                             "must be positive")
-        if not 0.0 < self.lower_bound < self.upper_bound:
-            raise ValueError("need 0 < lower_bound < upper_bound")
+        for name in ("area", "second_moment", "density", "nominal_modulus"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError("area, second_moment, density and nominal_modulus "
+                                 f"must be positive and finite ({name})")
+        if not 0.0 < self.lower_bound < self.upper_bound < np.inf:
+            raise ValueError("need 0 < lower_bound < upper_bound, both finite")
+        for _, value in self.ground_truth_perturbations:
+            if not self.lower_bound <= value <= self.upper_bound:
+                raise ValueError(f"perturbed modulus {value} outside the bounds")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -135,23 +140,21 @@ def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
 def check_scenario(spec: ScenarioSpec, structure: BeamStructure) -> None:
     """Raise ValueError unless the spec's inputs fit the structure it updates.
 
-    Every perturbation must name a distinct element and give a modulus
-    within [lower_bound, upper_bound], every initial (stored) element
-    modulus must lie within those bounds too, and observed_dofs, when
+    Every perturbation must name a distinct element, every initial
+    (stored) element modulus must lie within [lower_bound, upper_bound]
+    (ScenarioSpec checks the perturbed moduli), and observed_dofs, when
     given, must list distinct unconstrained DOFs of the structure, at
     least one. Cheap: nothing is assembled or solved.
     """
     n_el = structure.n_elements
     perturbed = set()
-    for idx, value in spec.ground_truth_perturbations:
+    for idx, _ in spec.ground_truth_perturbations:
         if not 0 <= idx < n_el:
             raise ValueError(f"perturbation index {idx} out of range for "
                              f"{n_el} elements")
         if idx in perturbed:
             raise ValueError(f"perturbation index {idx} repeated")
         perturbed.add(idx)
-        if not spec.lower_bound <= value <= spec.upper_bound:
-            raise ValueError(f"perturbed modulus {value} outside the bounds")
     moduli = structure.moduli()
     outside = (moduli < spec.lower_bound) | (moduli > spec.upper_bound)
     if outside.any():
@@ -186,7 +189,8 @@ def build_scenario(spec: ScenarioSpec,
     weights come from the initial model's frequency errors against the
     MAC-paired measured modes, which may come in another order. Inputs
     that do not fit the structure raise ValueError (check_scenario)
-    before any solve.
+    before any solve. An elastic measured or initial-model mode with no
+    motion at the observed DOFs, which MAC cannot pair, raises ValueError.
     """
     if structure is None:
         structure = h_beam_structure(spec)
@@ -225,8 +229,14 @@ def build_scenario(spec: ScenarioSpec,
         measured = ModalData(frequencies=freqs[order], mode_shapes=shapes[:, order],
                              coordinate_map=measured.coordinate_map)
 
-    # each measured mode against its MAC-paired initial mode, which need not be the i-th
     initial_modes = solve_observed(structure, None, spec.n_modes, observed)
+    for model, modes in (("measured", measured), ("initial-model", initial_modes)):
+        shapes = modes.mode_shapes[:, ~modes.rigid]
+        blind = ~(shapes * shapes).any(axis=0)  # the zero norm mac rejects
+        if blind.any():
+            raise ValueError(f"observed_dofs {observed.tolist()} see no motion of "
+                             f"{model} mode {int(np.argmax(blind)) + 1}")
+    # each measured mode against its MAC-paired initial mode, which need not be the i-th
     pairing, _ = pair_modes(initial_modes, measured)
     gamma = (measured.frequencies_hz - initial_modes.frequencies_hz[pairing]) ** 2
 

@@ -332,6 +332,7 @@ def test_observed_dof_outside_structure_exit_2(tmp_path, capsys, structure,
     ("rsm", "n_samples = 20", "[rsm] invalid: net has 113 weights but only 20 training"),
     ("sa", "initial_temperature = 1e-7",
      "[sa] invalid: initial_temperature must exceed min_temperature"),
+    ("ga", "mutation_shape_b = -1", "[ga] invalid: mutation_shape_b must be >= 0 and finite"),
 ])
 def test_invalid_run_setting_exit_2(tmp_path, capsys, section, setting, message):
     path = tmp_path / "bad.ini"
@@ -400,15 +401,20 @@ TWO_ELEMENTS = "elements = 0,1,3e-4,2.5e-9,2700,{e}; 1,2,3e-4,2.5e-9,2700,7e10\n
 @pytest.mark.parametrize("text, message", [
     ("[structure]\narea = 0\n", "[structure] invalid: area, second_moment, density "
                                   "and nominal_modulus must be positive"),
-    ("[structure]\narea = nan\n", "[structure] area: cannot parse 'nan' (not a finite"),
-    ("[structure]\nnominal_modulus = nan\n", "[structure] nominal_modulus: cannot parse"),
+    ("[structure]\narea = nan\n", "[structure] invalid: area, second_moment, density "
+                                    "and nominal_modulus must be positive and finite (area)"),
+    ("[structure]\nnominal_modulus = nan\n",
+     "[structure] invalid: area, second_moment, density and nominal_modulus must be "
+     "positive and finite (nominal_modulus)"),
     ("[structure]\nnodes = 0,0; 0.1,0; inf,0\n" + TWO_ELEMENTS.format(e="7e10"),
-     "[structure] nodes: cannot parse '0,0; 0.1,0; inf,0' (not a finite number)"),
+     "[structure] invalid explicit structure: nodes must have finite coordinates"),
     ("[structure]\nnodes = 0,0; 0.1,0; 0.2,0\n" + TWO_ELEMENTS.format(e="inf"),
-     "[structure] elements: cannot parse"),
-    ("[scenario]\nnoise_std = nan\n", "[scenario] noise_std: cannot parse 'nan'"),
-    ("[scenario]\nupper_bound = inf\n", "[scenario] upper_bound: cannot parse 'inf'"),
-    ("[cost]\nbeta = nan\n", "[cost] beta: cannot parse 'nan' (not a finite number)"),
+     "[structure] invalid explicit structure: element 0: elastic_modulus must be "
+     "strictly positive and finite"),
+    ("[scenario]\nnoise_std = nan\n", "[scenario] invalid: noise_std must be >= 0 and finite"),
+    ("[scenario]\nupper_bound = inf\n",
+     "[scenario] invalid: need 0 < lower_bound < upper_bound, both finite"),
+    ("[cost]\nbeta = nan\n", "[cost] invalid: beta must be >= 0 and finite"),
 ])
 def test_config_error_names_the_section_of_the_bad_key(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -640,6 +646,32 @@ def test_more_modes_than_the_structure_has_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_mode_the_observed_dofs_cannot_see_exit_2(tmp_path, capsys):
+    # two branches clamped at node 0 do not couple: the first mode bends the
+    # long branch alone, and DOF 4 lies on the short one
+    path = tmp_path / "blind.ini"
+    path.write_text("""\
+[structure]
+nodes = 0,0; 0.3,0; 0,0.1
+elements = 0,1,3e-4,2.5e-9,2700,7e10; 0,2,3e-4,2.5e-9,2700,7e10
+constrained_dofs = 0,1
+[scenario]
+observed_dofs = 4
+n_modes = 1
+perturbations = 0:6.3e10
+""")
+    message = ("[scenario] does not fit the structure: "
+               "observed_dofs [4] see no motion of measured mode 1")
+    assert main(["modes", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    # seen on the other branch, the measured mode moves, but the initial
+    # model has a mode there that DOF 2 cannot see
+    path.write_text(path.read_text().replace("observed_dofs = 4", "observed_dofs = 2"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "observed_dofs [2] see no motion of initial-model mode")):
+        _load(path)
 
 
 def test_modes_to_file_differs_between_models(small_config, tmp_path):

@@ -185,6 +185,16 @@ def modal_from(freqs, shapes, **kw):
                      **kw)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_modal_data_rejects_non_finite_frequency_or_shape(value):
+    shapes = np.array([[1.0, 0.2], [0.3, -1.0]])
+    with pytest.raises(ValueError, match="frequencies must be non-negative and finite"):
+        modal_from([1.0, value], shapes)
+    shapes[1, 0] = value
+    with pytest.raises(ValueError, match="mode shapes must be finite"):
+        modal_from([1.0, 2.0], shapes)
+
+
 def identity_pairing(calc, measured):
     """Mode i against mode i, with the MAC of each pair, for sets whose modes could tie."""
     paired_mac = np.diag(mac(calc.mode_shapes, measured.mode_shapes))

@@ -567,6 +567,17 @@ def test_ga_config_validation():
     for q in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="selection_q must lie strictly in"):
             GaConfig(selection_q=q)
+    with pytest.raises(ValueError, match="mutation_shape_b must be >= 0 and finite"):
+        GaConfig(mutation_shape_b=-1.0)
+    GaConfig(mutation_shape_b=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bounds_reject_non_finite_entries(value):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        Bounds(lower=[0.0, value], upper=[1.0, 1.0])
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        Bounds(lower=[0.0, 0.0], upper=[value, 1.0])
 
 
 # ---------------------------------------------------------------- SA

@@ -1,11 +1,14 @@
 """Fixture construction: geometry, closed-loop identity, noise, determinism."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from femupdate.beam import assemble
+from femupdate.beam import BeamElement, BeamStructure, assemble
 from femupdate.modal import pair_modes, solve_modes
-from femupdate.optimizers import EvalBudget
+from femupdate.optimizers import EvalBudget, GaConfig, SaConfig
 from femupdate.scenario import (
     ScenarioSpec, build_scenario, h_beam_structure,
 )
@@ -148,6 +151,43 @@ def test_spec_validation():
         ScenarioSpec(left_flange_elements=0)
     with pytest.raises(ValueError):
         ScenarioSpec(noise_std=-0.1)
+    for value in (math.nan, math.inf, 1e10):
+        with pytest.raises(ValueError, match=f"perturbed modulus {value} outside the bounds"):
+            ScenarioSpec(ground_truth_perturbations=((2, value),))
+
+
+def two_node_beam(name, value):
+    """A one-element beam with node 1's x or the element's `name` set to value."""
+    nodes = [[0.0, 0.0], [0.5, 0.0]]
+    section = {"area": 3e-4, "second_moment": 2.5e-9, "density": 2700.0,
+               "elastic_modulus": 7e10}
+    if name == "nodes":
+        nodes[1][0] = value
+    else:
+        section[name] = value
+    return BeamStructure(nodes=nodes, elements=[BeamElement(0, 1, **section)])
+
+
+def setting(cls):
+    return lambda name, value: cls(**{name: value})
+
+
+# every float a setting or a structure holds, and how to build one holding value
+FLOAT_VALUES = [
+    *[pytest.param(setting(cls), f.name, id=f"{cls.__name__}.{f.name}")
+      for cls in (ScenarioSpec, GaConfig, SaConfig) for f in fields(cls)
+      if f.type == "float"],
+    *[pytest.param(two_node_beam, name, id=f"BeamStructure.{name}")
+      for name in ("nodes", "area", "second_moment", "density", "elastic_modulus")],
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", FLOAT_VALUES)
+def test_non_finite_value_rejected_where_it_is_held(build, name, value):
+    assert len(FLOAT_VALUES) == 24  # 11 + 4 + 4 floats and 5 structure values
+    with pytest.raises(ValueError, match=name):
+        build(name, value)
 
 
 def test_bounds_cover_all_elements():

@@ -59,17 +59,20 @@ class BeamStructure:
         if not self.elements:
             raise ValueError("structure has no elements")
         n = self.n_nodes
-        for idx, e in enumerate(self.elements):
-            if e.node_a == e.node_b:
-                raise ValueError(f"element {idx} connects node {e.node_a} to itself")
-            if not (0 <= e.node_a < n and 0 <= e.node_b < n):
-                raise ValueError(f"element {idx} references a missing node")
-            for name in ("area", "second_moment", "density", "elastic_modulus"):
-                if not 0.0 < getattr(e, name) < np.inf:  # fails on nan too
-                    raise ValueError(f"element {idx}: {name} must be strictly positive "
-                                     "and finite")
-            if self.element_length(idx) <= 0.0:
-                raise ValueError(f"element {idx} has zero length")
+        with np.errstate(over="ignore"):  # far-apart nodes: length inf, rejected below
+            for idx, e in enumerate(self.elements):
+                if e.node_a == e.node_b:
+                    raise ValueError(f"element {idx} connects node {e.node_a} to itself")
+                if not (0 <= e.node_a < n and 0 <= e.node_b < n):
+                    raise ValueError(f"element {idx} references a missing node")
+                for name in ("area", "second_moment", "density", "elastic_modulus"):
+                    if not 0.0 < getattr(e, name) < np.inf:  # fails on nan too
+                        raise ValueError(f"element {idx}: {name} must be strictly "
+                                         "positive and finite")
+                length = self.element_length(idx)
+                if not 0.0 < length < np.inf:
+                    raise ValueError(f"element {idx} length must be positive and finite, "
+                                     f"got {length:g}")
         for dof in self.constrained_dofs:
             if not (0 <= dof < self.n_dofs):
                 raise ValueError(f"constrained DOF {dof} out of range")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -88,13 +88,20 @@ def _load(config_path: str, seed: int | None = None):
 
 
 def _echo_with_seeds(settings: RunSettings, report):
-    # replayability: every report carries the complete resolved config
+    # replayability: every report carries the complete resolved config,
+    # an explicit structure in the config file's own row syntax
     report.config_echo = {
         "scenario": asdict(settings.spec),
         "rsm": asdict(settings.rsm),
         "ga": asdict(settings.ga),
         "sa": asdict(settings.sa),
     }
+    if settings.structure is not None:
+        report.config_echo["structure"] = {
+            "nodes": settings.structure.nodes.tolist(),
+            "elements": [astuple(e) for e in settings.structure.elements],
+            "constrained_dofs": settings.structure.constrained_dofs,
+        }
     report.seeds.update(settings.all_seeds())
 
 

@@ -31,6 +31,18 @@ log = logging.getLogger(__name__)
 SCHEDULE_BLOCK = 256
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least.
+
+    Python and numpy integers pass. A bool, a float (nan and +-inf among
+    them) and anything else fail, even where it compares >= least.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass
 class Bounds:
     """Component-wise lower/upper box bounds."""
@@ -71,10 +83,8 @@ class GaConfig:
     seed: int = 2
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        check_count("population_size", self.population_size, 2)
+        check_count("generations", self.generations, 1)
         for name in ("mutation_rate", "crossover_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -83,8 +93,7 @@ class GaConfig:
             raise ValueError("selection_q must lie strictly in (0, 1)")
         if not 0.0 <= self.mutation_shape_b < math.inf:
             raise ValueError("mutation_shape_b must be >= 0 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -100,18 +109,16 @@ class SaConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must lie in (0, 1)")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
+        check_count("n_runs", self.n_runs, 1)
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
         if not 0.0 < self.min_temperature < math.inf:
             raise ValueError("temperatures must be positive and finite (min_temperature)")
         if not self.min_temperature < self.initial_temperature < math.inf:
             raise ValueError("initial_temperature must exceed min_temperature and be finite")
-        if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
-            raise ValueError("steps_per_temperature must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.steps_per_temperature is not None:
+            check_count("steps_per_temperature", self.steps_per_temperature, 1)
+        check_count("seed", self.seed, 0)
 
 
 class BudgetExhausted(RuntimeError):

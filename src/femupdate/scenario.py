@@ -32,7 +32,7 @@ import numpy as np
 
 from .beam import BeamElement, BeamStructure
 from .modal import CostWeights, ModalData, pair_modes
-from .optimizers import Bounds
+from .optimizers import Bounds, check_count
 from .updating import UpdatingProblem, solve_observed
 
 log = logging.getLogger(__name__)
@@ -66,9 +66,9 @@ class ScenarioSpec:
         for name in ("crossbar_length", "left_flange_length", "right_flange_length"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"run lengths must be positive and finite ({name})")
-        if min(self.left_flange_elements, self.right_flange_elements,
-               self.crossbar_elements) < 1:
-            raise ValueError("each run needs at least one element")
+        for name in ("left_flange_elements", "right_flange_elements", "crossbar_elements",
+                     "n_modes"):
+            check_count(name, getattr(self, name), 1)
         for name in ("area", "second_moment", "density", "nominal_modulus"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError("area, second_moment, density and nominal_modulus "
@@ -78,14 +78,11 @@ class ScenarioSpec:
         for _, value in self.ground_truth_perturbations:
             if not self.lower_bound <= value <= self.upper_bound:
                 raise ValueError(f"perturbed modulus {value} outside the bounds")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be >= 0 and finite")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError("beta must be >= 0 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
 
 
 def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
@@ -93,48 +90,32 @@ def h_beam_structure(spec: ScenarioSpec) -> BeamStructure:
 
     The crossbar meets each flange at the flange node closest to 40% of
     its height, so the H is asymmetric whenever the flange lengths
-    differ. Elements are numbered along an assembly walk: left flange up
-    to the junction, crossbar, rest of the left flange, right flange.
-    With the default discretization the crossbar is elements 2-4.
+    differ. With n_l, n_c and n_r elements on the left flange, crossbar
+    and right flange, the node ids are:
+    - 0..n_l: the left flange, base to tip;
+    - n_l+1 .. n_l+n_c-1: the crossbar's interior, left to right;
+    - n_l+n_c .. n_l+n_c+n_r: the right flange, base to tip.
+    Elements are numbered along an assembly walk: left flange up to the
+    junction, crossbar, rest of the left flange, right flange. With the
+    default discretization the crossbar is elements 2-4.
     """
-    nodes = []
-    elements = []
-
-    def add_run(points):
-        start = len(nodes)
-        nodes.extend(points)
-        return list(range(start, start + len(points)))
-
-    def connect(ids):
-        for a, b in zip(ids[:-1], ids[1:]):
-            elements.append((a, b))
-
-    n_l = spec.left_flange_elements
-    left_ids = add_run([(0.0, spec.left_flange_length * i / n_l)
-                        for i in range(n_l + 1)])
-    joint_left_pos = round(0.4 * n_l)
-    connect(left_ids[:joint_left_pos + 1])
-
-    n_r = spec.right_flange_elements
-    n_c = spec.crossbar_elements
-    right_start = len(nodes) + max(n_c - 1, 0)
-    joint_right = right_start + round(0.4 * n_r)
-    inner = add_run([(spec.crossbar_length * i / n_c, nodes[left_ids[joint_left_pos]][1])
-                     for i in range(1, n_c)])
-    connect([left_ids[joint_left_pos], *inner, joint_right])
-
-    connect(left_ids[joint_left_pos:])
-    right_ids = add_run([(spec.crossbar_length, spec.right_flange_length * i / n_r)
-                         for i in range(n_r + 1)])
-    connect(right_ids)
-
-    beam_elements = [
-        BeamElement(a, b, spec.area, spec.second_moment, spec.density,
-                    spec.nominal_modulus)
-        for a, b in elements
-    ]
-    return BeamStructure(nodes=np.array(nodes, dtype=float),
-                         elements=beam_elements)
+    n_l, n_c, n_r = spec.left_flange_elements, spec.crossbar_elements, spec.right_flange_elements
+    joint_left = round(0.4 * n_l)
+    right = n_l + n_c  # first right-flange node
+    joint_y = spec.left_flange_length * joint_left / n_l
+    nodes = ([(0.0, spec.left_flange_length * i / n_l) for i in range(n_l + 1)]
+             + [(spec.crossbar_length * i / n_c, joint_y) for i in range(1, n_c)]
+             + [(spec.crossbar_length, spec.right_flange_length * i / n_r)
+                for i in range(n_r + 1)])
+    crossbar = [joint_left, *range(n_l + 1, right), right + round(0.4 * n_r)]
+    elements = [*[(i, i + 1) for i in range(joint_left)],
+                *zip(crossbar, crossbar[1:]),
+                *[(i, i + 1) for i in range(joint_left, n_l)],
+                *[(i, i + 1) for i in range(right, right + n_r)]]
+    return BeamStructure(
+        nodes=np.array(nodes, dtype=float),
+        elements=[BeamElement(a, b, spec.area, spec.second_moment, spec.density,
+                              spec.nominal_modulus) for a, b in elements])
 
 
 def check_scenario(spec: ScenarioSpec, structure: BeamStructure) -> None:

@@ -23,8 +23,8 @@ from .modal import (
     pair_shapes, solve_modes,
 )
 from .optimizers import (
-    Bounds, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig, ga_optimize,
-    row_by_row, sa_optimize,
+    Bounds, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig, check_count,
+    ga_optimize, row_by_row, sa_optimize,
 )
 from .surrogate import (
     SurrogateNet, TrainingSet, check_net_fits, forward, init_net, target_scaling, train,
@@ -87,16 +87,10 @@ class RsmConfig:
     sampler_seed: int = 1  # seeds the LHS design and the net's initial weights
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.m_hidden < 1:
-            raise ValueError("m_hidden must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.initial_cycles < 1 or self.incremental_cycles < 1:
-            raise ValueError("training cycle counts must be >= 1")
-        if self.sampler_seed < 0:
-            raise ValueError("sampler_seed must be >= 0")
+        for name, least in (("n_samples", 2), ("m_hidden", 1), ("max_iterations", 1),
+                            ("initial_cycles", 1), ("incremental_cycles", 1),
+                            ("sampler_seed", 0)):
+            check_count(name, getattr(self, name), least)
 
 
 @dataclass

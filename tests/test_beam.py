@@ -144,10 +144,21 @@ def test_structure_invariants():
         BeamStructure(nodes, [BeamElement(0, 2, 1e-4, 1e-9, 2700.0, 7e10)])
     with pytest.raises(ValueError):
         BeamStructure(nodes, [BeamElement(0, 1, -1e-4, 1e-9, 2700.0, 7e10)])
-    with pytest.raises(ValueError):
-        BeamStructure(np.array([[0.0, 0.0], [0.0, 0.0]]), [good])  # zero length
+    with pytest.raises(ValueError, match="element 0 length must be positive and finite, got 0"):
+        BeamStructure(np.array([[0.0, 0.0], [0.0, 0.0]]), [good])
     with pytest.raises(ValueError):
         BeamStructure(nodes, [good], constrained_dofs=(9,))
+
+
+# finite coordinates whose distance overflows, in the subtraction or in the norm
+@pytest.mark.parametrize("nodes", [[[-1e308, 0.0], [-1e308, 1.0], [1e308, 0.0]],
+                                   [[0.0, 0.0], [0.0, 1.0], [1e200, 0.0]]])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_element_length_rejected_by_name(nodes):
+    good = BeamElement(0, 1, 1e-4, 1e-9, 2700.0, 7e10)
+    with pytest.raises(ValueError, match="element 1 length must be positive and finite, "
+                                         "got inf"):  # not a RuntimeWarning
+        BeamStructure(nodes, [good, BeamElement(1, 2, 1e-4, 1e-9, 2700.0, 7e10)])
 
 
 def test_constrained_assembly_reduces_dofs():

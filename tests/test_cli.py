@@ -552,6 +552,29 @@ def test_report_embeds_config_and_seeds(small_config, tmp_path):
     assert "ga.population_size: 30" in text
     assert "rsm.n_samples: 40" in text
     assert "sa.seed: 45" in text
+    assert "structure." not in text  # the H fixture is echoed by its spec alone
+
+
+def test_report_echoes_an_explicit_structure_that_loads_back(tmp_path):
+    # a clamped beam on coordinates that only round-trip in full precision
+    nodes = "; ".join(f"{i / 30!r},{i * i / 7e3!r}" for i in range(5))
+    elements = "; ".join(f"{i},{i + 1},3e-4,2.5e-9,2700,{7e10 + i / 3!r}" for i in range(4))
+    path = tmp_path / "clamped.ini"
+    path.write_text(f"[structure]\nnodes = {nodes}\nelements = {elements}\n"
+                    "constrained_dofs = 0,1\n\n[scenario]\nperturbations = 1:6.5e10\n"
+                    "n_modes = 2\n\n[ga]\npopulation_size = 10\ngenerations = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--method", "ga", "--out", str(out)]) == 0
+    echoed = dict(line.removeprefix("structure.").split(": ")
+                  for line in (out / "report_ga.txt").read_text().splitlines()
+                  if line.startswith("structure."))
+    assert sorted(echoed) == ["constrained_dofs", "elements", "nodes"]
+    replay = tmp_path / "replay.ini"
+    replay.write_text("[structure]\n" + "".join(f"{k} = {v}\n" for k, v in echoed.items()))
+    got, want = load_settings(replay).structure, load_settings(path).structure
+    assert got.nodes.tobytes() == want.nodes.tobytes()
+    assert got.elements == want.elements
+    assert got.constrained_dofs == want.constrained_dofs == (0, 1)
 
 
 def test_comparison_errors_recompute(small_config, tmp_path):

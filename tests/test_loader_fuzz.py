@@ -66,8 +66,8 @@ def explicit_tree(draw):
 @st.composite
 def scenario(draw, n_elements, n_dofs, constrained):
     values = {}
-    if draw(st.booleans()):
-        values["lower_bound"] = draw(st.floats(5.0e10, 6.4e10))
+    if draw(st.booleans()):  # at most the default perturbations' 6.3e10, no second fault
+        values["lower_bound"] = draw(st.floats(5.0e10, 6.3e10))
         values["upper_bound"] = draw(st.floats(7.6e10, 9.0e10))
     lower, upper = values.get("lower_bound", 6e10), values.get("upper_bound", 8e10)
     if n_elements < 5 or draw(st.booleans()):  # the default indices are 2, 3, 4

@@ -1,7 +1,8 @@
 """Fixture construction: geometry, closed-loop identity, noise, determinism."""
 
+import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from femupdate.optimizers import EvalBudget, GaConfig, SaConfig
 from femupdate.scenario import (
     ScenarioSpec, build_scenario, h_beam_structure,
 )
-from femupdate.updating import full_objective, solve_observed
+from femupdate.updating import RsmConfig, full_objective, solve_observed
 
 
 def test_default_geometry_counts():
@@ -20,6 +21,56 @@ def test_default_geometry_counts():
     assert s.n_elements == 12
     assert s.n_nodes == 13
     assert s.constrained_dofs == ()
+
+
+def closure_h_beam_structure(spec):
+    """(nodes, element node pairs) of the H built run by run: h_beam_structure's oracle."""
+    nodes = []
+    elements = []
+
+    def add_run(points):
+        start = len(nodes)
+        nodes.extend(points)
+        return list(range(start, start + len(points)))
+
+    def connect(ids):
+        for a, b in zip(ids[:-1], ids[1:]):
+            elements.append((a, b))
+
+    n_l = spec.left_flange_elements
+    left_ids = add_run([(0.0, spec.left_flange_length * i / n_l)
+                        for i in range(n_l + 1)])
+    joint_left_pos = round(0.4 * n_l)
+    connect(left_ids[:joint_left_pos + 1])
+
+    n_r = spec.right_flange_elements
+    n_c = spec.crossbar_elements
+    right_start = len(nodes) + max(n_c - 1, 0)
+    joint_right = right_start + round(0.4 * n_r)
+    inner = add_run([(spec.crossbar_length * i / n_c, nodes[left_ids[joint_left_pos]][1])
+                     for i in range(1, n_c)])
+    connect([left_ids[joint_left_pos], *inner, joint_right])
+
+    connect(left_ids[joint_left_pos:])
+    right_ids = add_run([(spec.crossbar_length, spec.right_flange_length * i / n_r)
+                         for i in range(n_r + 1)])
+    connect(right_ids)
+    return np.array(nodes, dtype=float), elements
+
+
+@pytest.mark.parametrize("lengths", [(0.6, 0.48, 0.5), (0.37, 0.91, 0.73)])
+def test_h_builder_matches_the_closure_builder(lengths):
+    base = ScenarioSpec(crossbar_length=lengths[0], left_flange_length=lengths[1],
+                        right_flange_length=lengths[2])
+    for n_l, n_c, n_r in itertools.product(range(1, 12), repeat=3):  # 1 331 specs
+        spec = replace(base, left_flange_elements=n_l, crossbar_elements=n_c,
+                       right_flange_elements=n_r)
+        s = h_beam_structure(spec)
+        nodes, elements = closure_h_beam_structure(spec)
+        assert s.nodes.tobytes() == nodes.tobytes(), (n_l, n_c, n_r)
+        assert [(e.node_a, e.node_b) for e in s.elements] == elements, (n_l, n_c, n_r)
+    assert {(e.area, e.second_moment, e.density, e.elastic_modulus) for e in s.elements} \
+        == {(spec.area, spec.second_moment, spec.density, spec.nominal_modulus)}
 
 
 def test_h_structure_has_two_rigid_modes():
@@ -188,6 +239,28 @@ def test_non_finite_value_rejected_where_it_is_held(build, name, value):
     assert len(FLOAT_VALUES) == 24  # 11 + 4 + 4 floats and 5 structure values
     with pytest.raises(ValueError, match=name):
         build(name, value)
+
+
+# every integer a setting holds, with its least value
+COUNT_FIELDS = [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+                for cls in (ScenarioSpec, GaConfig, SaConfig, RsmConfig)
+                for f in fields(cls) if f.type in ("int", "int | None")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, True])
+@pytest.mark.parametrize("cls, name", COUNT_FIELDS)
+def test_count_setting_rejects_a_non_integer(cls, name, value):
+    assert len(COUNT_FIELDS) == 17  # 5 + 3 + 3 + 6
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", COUNT_FIELDS)
+def test_count_setting_accepts_numpy_integers(cls, name):
+    default = getattr(cls(), name) or 1  # steps_per_temperature defaults to None
+    assert getattr(cls(**{name: np.int64(default)}), name) == default
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        cls(**{name: np.int32(-1)})
 
 
 def test_bounds_cover_all_elements():

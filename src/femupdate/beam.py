@@ -73,6 +73,10 @@ class BeamStructure:
                 if not 0.0 < length < np.inf:
                     raise ValueError(f"element {idx} length must be positive and finite, "
                                      f"got {length:g}")
+        ends = [k for e in self.elements for k in (e.node_a, e.node_b)]
+        unused = np.flatnonzero(np.bincount(ends, minlength=n) == 0)
+        if unused.size:  # its DOFs would carry no mass, so M would be singular
+            raise ValueError(f"node {unused[0]} belongs to no element")
         for dof in self.constrained_dofs:
             if not (0 <= dof < self.n_dofs):
                 raise ValueError(f"constrained DOF {dof} out of range")

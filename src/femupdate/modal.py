@@ -131,8 +131,9 @@ class CostWeights:
 
     def __post_init__(self):
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if np.any(self.gamma < 0.0) or self.beta < 0.0:
-            raise ValueError("weights must be non-negative")
+        for name, w in (("gamma", self.gamma), ("beta", self.beta)):
+            if not np.all((w >= 0.0) & (w < np.inf)):  # fails on nan too
+                raise ValueError(f"weights must be non-negative and finite, got {name}={w}")
 
 
 def _count_rigid(eigenvalues: np.ndarray) -> int:

@@ -44,6 +44,9 @@ class SurrogateNet:
             raise ValueError("input scaling must match d_in")
         if not (np.all(np.isfinite(self.w1)) and np.all(np.isfinite(self.w2))):
             raise ValueError("weights must be finite")
+        for name in ("in_center", "in_half", "out_center", "out_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(self.in_half <= 0.0) or self.out_scale == 0.0:
             raise ValueError("scaling ranges must be non-zero")
 

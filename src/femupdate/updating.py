@@ -141,10 +141,11 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
 
     Charges one FE evaluation to budget, which raises BudgetExhausted
     once its cap is reached. A parameter vector budget has already scored
-    returns its stored cost without a new solve. Eigen failures yield
-    +inf and are logged; only finite costs are stored, so a failing
-    candidate is solved and logged on every call. Optimizers reject it
-    and keep running.
+    returns its stored cost without a new solve. A failed evaluation (an
+    eigen failure, invalid moduli or unpairable modes) yields +inf and is
+    logged; only finite costs are stored, so a failing candidate is
+    solved and logged on every call. Optimizers reject it and keep
+    running.
     """
     budget.consume()
     key = np.asarray(params, dtype=float).tobytes()
@@ -152,33 +153,31 @@ def full_objective(problem: UpdatingProblem, params: np.ndarray,
     if c is None:
         budget.solves += 1
         try:
-            modes = _observed_modes(problem, params)
+            c = _compare(problem, params)[2]
         except (EigenSolveError, ValueError) as exc:
             log.warning("full objective failed for a candidate: %s", exc)
             return math.inf
-        c = _paired_cost(problem, *modes)[1]
         if math.isfinite(c):
             budget.costs[key] = c
     return c
 
 
-def _observed_modes(problem: UpdatingProblem, params: np.ndarray):
-    """(frequencies, observed mode-shape rows, rigid flags) of one candidate.
+def _compare(problem: UpdatingProblem, params: np.ndarray):
+    """(paired frequencies in rad/s, paired MACs, cost): one FE evaluation.
 
-    Equal, bit for bit, to the arrays of solve_observed on the problem's
-    measured coordinates. Raises what solve_observed raises for a failed
-    candidate: ValueError for invalid moduli, EigenSolveError.
+    The candidate's observed modes are equal, bit for bit, to the arrays
+    of solve_observed on the problem's measured coordinates; they are
+    paired by MAC with the measured modes and scored by modal_distance.
+    Raises ValueError for invalid moduli or unpairable modes,
+    EigenSolveError for a failed solve.
     """
     modes = _lowest_modes(assemble(problem.structure, params), problem.n_modes)
-    return modes.frequencies, modes.mode_shapes[problem._observed_rows], modes.rigid
-
-
-def _paired_cost(problem: UpdatingProblem, frequencies, shapes, rigid):
-    """(pairing, cost) of observed modes against the measured ones."""
     measured, weights = problem.measured, problem.weights
-    pairing = pair_shapes(shapes, rigid, measured.mode_shapes)
-    return pairing, modal_distance(frequencies, measured.frequencies, weights.gamma,
-                                   weights.beta, pairing)
+    pairing = pair_shapes(modes.mode_shapes[problem._observed_rows], modes.rigid,
+                          measured.mode_shapes)
+    c = modal_distance(modes.frequencies, measured.frequencies, weights.gamma,
+                       weights.beta, pairing)
+    return modes.frequencies[pairing[0]], pairing[1], c
 
 
 def _lowest_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
@@ -202,8 +201,7 @@ def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
 
     Exactly one point falls in each 1/n stratum of every coordinate.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     u = np.empty((n, bounds.dim))
     for j in range(bounds.dim):
@@ -211,34 +209,26 @@ def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:
     return bounds.lower + u * bounds.range
 
 
-def _modal_comparison(problem: UpdatingProblem, params: np.ndarray):
-    """Paired frequencies (Hz), percent errors, mean MAC diagonal and cost."""
-    frequencies, shapes, rigid = _observed_modes(problem, params)
-    (idx, paired_mac), c = _paired_cost(problem, frequencies, shapes, rigid)
-    meas = problem.measured
-    hz = frequencies[idx] / TWO_PI
-    errors = 100.0 * (hz - meas.frequencies_hz) / meas.frequencies_hz
-    return hz, errors, float(paired_mac.mean()), c
-
-
 def _build_report(problem: UpdatingProblem, method: str, res: OptimizeResult, cfg,
                   budget: EvalBudget, t0: float, seeds: dict) -> UpdateReport:
     """The report of an update call that began at perf_counter t0 and found res."""
     wall_time_s = time.perf_counter() - t0
     x0 = problem.initial_parameters()
-    initial_hz, initial_err, mac0, initial_cost = _modal_comparison(problem, x0)
-    updated_hz, updated_err, mac1, _ = _modal_comparison(problem, res.best_x)
+    initial_w, mac0, initial_cost = _compare(problem, x0)
+    updated_w, mac1, _ = _compare(problem, res.best_x)
+    measured_hz = problem.measured.frequencies_hz
+    initial_hz, updated_hz = initial_w / TWO_PI, updated_w / TWO_PI
     return UpdateReport(
         method=method,
         initial_parameters=np.asarray(x0, dtype=float),
         updated_parameters=np.asarray(res.best_x, dtype=float),
-        measured_hz=problem.measured.frequencies_hz.copy(),
+        measured_hz=measured_hz,
         initial_hz=initial_hz,
         updated_hz=updated_hz,
-        initial_errors_pct=initial_err,
-        updated_errors_pct=updated_err,
-        mac_mean_initial=mac0,
-        mac_mean_updated=mac1,
+        initial_errors_pct=100.0 * (initial_hz - measured_hz) / measured_hz,
+        updated_errors_pct=100.0 * (updated_hz - measured_hz) / measured_hz,
+        mac_mean_initial=float(mac0.mean()),
+        mac_mean_updated=float(mac1.mean()),
         initial_cost=initial_cost,
         final_cost=res.best_cost,
         fe_evaluations=budget.calls,

@@ -148,6 +148,9 @@ def test_structure_invariants():
         BeamStructure(np.array([[0.0, 0.0], [0.0, 0.0]]), [good])
     with pytest.raises(ValueError):
         BeamStructure(nodes, [good], constrained_dofs=(9,))
+    # a node no element touches carries no mass: M would be singular
+    with pytest.raises(ValueError, match="node 2 belongs to no element"):
+        BeamStructure(np.vstack([nodes, [5.0, 5.0]]), [good])
 
 
 # finite coordinates whose distance overflows, in the subtraction or in the norm

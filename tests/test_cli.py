@@ -408,6 +408,8 @@ TWO_ELEMENTS = "elements = 0,1,3e-4,2.5e-9,2700,{e}; 1,2,3e-4,2.5e-9,2700,7e10\n
      "positive and finite (nominal_modulus)"),
     ("[structure]\nnodes = 0,0; 0.1,0; inf,0\n" + TWO_ELEMENTS.format(e="7e10"),
      "[structure] invalid explicit structure: nodes must have finite coordinates"),
+    ("[structure]\nnodes = 0,0; 0.1,0; 0.2,0; 5,5\n" + TWO_ELEMENTS.format(e="7e10"),
+     "[structure] invalid explicit structure: node 3 belongs to no element"),
     ("[structure]\nnodes = 0,0; 0.1,0; 0.2,0\n" + TWO_ELEMENTS.format(e="inf"),
      "[structure] invalid explicit structure: element 0: elastic_modulus must be "
      "strictly positive and finite"),

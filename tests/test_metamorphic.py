@@ -1,10 +1,10 @@
 """Metamorphic oracles for assembly and the eigensolve on random beam trees.
 
-Each test transforms a random planar beam tree into one that must give
-the same elastic spectrum (or a known multiple of it) and compares the
-two. A DOF-map or connectivity fault that keeps K symmetric and positive
-semidefinite passes the closed-form and brute-force oracles, but not
-these. Element lengths of 0.08-0.15 m keep every mode inside the
+Each test transforms random planar beam trees into a structure that must
+give the same elastic spectrum (or a known multiple of it, or the union
+of their spectra) and compares the two. A DOF-map or connectivity fault
+that keeps K symmetric and positive semidefinite passes the closed-form
+and brute-force oracles, but not these. Element lengths of 0.08-0.15 m keep every mode inside the
 eigensolve's residual tolerance.
 """
 
@@ -63,6 +63,24 @@ def test_free_free_tree_has_two_rigid_modes(tree):
     frequencies, rigid = spectrum(tree)
     assert rigid.sum() == 2
     assert rigid[:2].all()
+
+
+@EXAMPLES
+@given(beam_trees(), beam_trees())
+def test_disjoint_trees_have_the_union_of_their_spectra(first, second):
+    # second's nodes follow first's, 10 m to the side; no element joins them
+    offset = first.n_nodes
+    both = BeamStructure(
+        nodes=np.vstack([first.nodes, second.nodes + [10.0, 0.0]]),
+        elements=first.elements + [
+            BeamElement(e.node_a + offset, e.node_b + offset, e.area, e.second_moment,
+                        e.density, e.elastic_modulus) for e in second.elements])
+    frequencies, rigid = spectrum(both)
+    # two rigid modes per connected component
+    assert rigid.sum() == 4
+    assert rigid[:4].all()
+    union = np.sort(np.concatenate([elastic_spectrum(first), elastic_spectrum(second)]))
+    np.testing.assert_allclose(frequencies[~rigid], union, rtol=RTOL)
 
 
 @EXAMPLES

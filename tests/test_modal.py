@@ -1,5 +1,6 @@
 """Eigensolver oracle checks, MAC, cost and mode pairing."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,16 @@ def test_cost_scale_invariant_in_shapes_and_monotone_in_frequency():
     assert paired_cost(scaled) == pytest.approx(paired_cost(plain), rel=1e-12)
     worse = modal_from([8.0, 21.0, 30.0], shapes)
     assert paired_cost(worse) > paired_cost(plain)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_cost_weights_reject_negative_and_non_finite_values(bad):
+    with pytest.raises(ValueError, match=r"weights must be non-negative and finite, "
+                                         r"got gamma=\[.*\]"):
+        CostWeights(gamma=[1.0, bad], beta=1.0)
+    with pytest.raises(ValueError, match=f"weights must be non-negative and finite, "
+                                         f"got beta={bad}"):
+        CostWeights(gamma=[1.0], beta=bad)
 
 
 def test_cost_errors():

@@ -1,6 +1,7 @@
 """MLP response-surface tests: forward/loss oracles, gradient check, SCG."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_init_net_deterministic_per_seed():
     np.testing.assert_array_equal(n1.w1, n2.w1)
     np.testing.assert_array_equal(n1.w2, n2.w2)
     assert not np.array_equal(n1.w1, init_net(3, 4, b, seed=78).w1)
+
+
+@pytest.mark.parametrize("name", ["in_center", "in_half", "out_center", "out_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_net_rejects_a_non_finite_scaling(name, bad):
+    net = random_net(np.random.default_rng(3), 2, 2)
+    value = np.array([1.0, bad]) if name.startswith("in_") else bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(net, **{name: value})
 
 
 def test_scaling_round_trip():

@@ -130,6 +130,22 @@ def test_objective_infinite_on_solver_failure(default_problem):
     assert full_objective(problem, bad, EvalBudget()) == np.inf
 
 
+def test_objective_infinite_when_modes_cannot_be_paired(default_problem, monkeypatch,
+                                                        caplog):
+    problem, truth = default_problem
+
+    def unpairable(*args):
+        raise ValueError("3 elastic calculated modes cannot cover 4 measured modes")
+
+    monkeypatch.setattr(femupdate.updating, "pair_shapes", unpairable)
+    budget = EvalBudget()
+    # a pairing failure is a failed evaluation, as a failed solve is
+    with caplog.at_level("WARNING", logger="femupdate.updating"):
+        assert full_objective(problem, truth, budget) == np.inf
+    assert "cannot cover 4 measured modes" in caplog.text
+    assert budget.solves == budget.calls == 1 and budget.costs == {}
+
+
 def test_objective_rejects_a_constrained_observed_dof():
     # a clamped 3-element beam; DOF 0 is fixed but listed as measured
     nodes = np.column_stack([np.linspace(0.0, 0.3, 4), np.zeros(4)])
@@ -158,15 +174,15 @@ def test_objective_rejects_a_zero_measured_frequency(default_problem):
 
 @pytest.fixture()
 def counted_solves(monkeypatch):
-    """Parameter vectors passed to the FE evaluation's solve, which runs as shipped."""
+    """Parameter vectors passed to _compare, the FE evaluation, which runs as shipped."""
     seen = []
-    solve = femupdate.updating._observed_modes
+    solve = femupdate.updating._compare
 
     def counting(problem, params):
         seen.append(np.array(params, dtype=float))
         return solve(problem, params)
 
-    monkeypatch.setattr(femupdate.updating, "_observed_modes", counting)
+    monkeypatch.setattr(femupdate.updating, "_compare", counting)
     return seen
 
 
@@ -331,6 +347,15 @@ def test_sample_design_single_point():
     assert b.contains(x[0])
 
 
+@pytest.mark.parametrize("n, message", [(2.5, "n must be an integer, got 2.5"),
+                                        (True, "n must be an integer, got True"),
+                                        (0, "n must be >= 1")])
+def test_sample_design_rejects_a_bad_count(n, message):
+    b = Bounds(lower=np.zeros(2), upper=np.ones(2))
+    with pytest.raises(ValueError, match=message):
+        sample_design(b, n, seed=0)
+
+
 def test_sample_design_lhs_stratification():
     b = Bounds(lower=np.full(12, 6.0e10), upper=np.full(12, 8.0e10))
     n = 150
@@ -407,7 +432,7 @@ def test_rsm_deterministic(default_problem):
 
 def test_rsm_drops_a_failed_design_point(default_problem, monkeypatch, caplog):
     problem, _ = default_problem
-    solve = femupdate.updating._observed_modes
+    solve = femupdate.updating._compare
     calls = []
 
     def failing_eighth(*args):
@@ -416,7 +441,7 @@ def test_rsm_drops_a_failed_design_point(default_problem, monkeypatch, caplog):
             raise EigenSolveError("injected failure")
         return solve(*args)
 
-    monkeypatch.setattr(femupdate.updating, "_observed_modes", failing_eighth)
+    monkeypatch.setattr(femupdate.updating, "_compare", failing_eighth)
     cfg = small_rsm_config()
     # a failed design solve costs +inf; the RSM goes on without that
     # point, as GA and SA go on without such a candidate
@@ -439,7 +464,7 @@ def test_rsm_raises_when_every_design_point_fails(default_problem, monkeypatch):
     def failing(*args):
         raise EigenSolveError("injected failure")
 
-    monkeypatch.setattr(femupdate.updating, "_observed_modes", failing)
+    monkeypatch.setattr(femupdate.updating, "_compare", failing)
     with pytest.raises(ValueError, match="no RSM design point"):
         rsm_update(problem, small_rsm_config())
 

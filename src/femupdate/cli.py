@@ -163,8 +163,7 @@ def cmd_modes(args) -> int:
         shown = int(modes.rigid.sum()) + problem.n_modes  # rigid + compared elastic
         return modes.select_modes(np.arange(min(shown, modes.n_modes)))
 
-    text = render_modes_summary(summarize(structure.moduli()), summarize(truth),
-                                observed)
+    text = render_modes_summary(summarize(structure.moduli()), summarize(truth))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

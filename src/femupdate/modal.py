@@ -56,8 +56,6 @@ class ModalData:
     def __post_init__(self):
         self.frequencies = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
         self.mode_shapes = np.asarray(self.mode_shapes, dtype=float)
-        if self.mode_shapes.ndim == 1:
-            self.mode_shapes = self.mode_shapes[:, None]
         self.coordinate_map = np.atleast_1d(np.asarray(self.coordinate_map, dtype=int))
         n = self.n_modes
         if self.rigid is None:
@@ -67,8 +65,9 @@ class ModalData:
             raise ValueError("frequencies must be non-negative and finite")
         if np.any(np.diff(self.frequencies) < 0.0):
             raise ValueError("frequencies must be sorted ascending")
-        if self.mode_shapes.shape[1] != n:
-            raise ValueError("mode-shape column count must equal frequency count")
+        if self.mode_shapes.shape[1:] != (n,):  # also rejects a 1-D or 3-D array
+            raise ValueError(f"mode shapes must be (n_coords, {n}) for {n} frequencies, "
+                             f"got shape {self.mode_shapes.shape}")
         if self.mode_shapes.shape[0] != self.coordinate_map.size:
             raise ValueError("mode-shape row count must match coordinate_map")
         if not np.isfinite(self.mode_shapes).all():
@@ -139,16 +138,18 @@ class CostWeights:
 def _count_rigid(eigenvalues: np.ndarray) -> int:
     """Number of leading near-zero eigenvalues, split at a gap of RIGID_RATIO.
 
-    Scans candidate split points from the most inclusive down, so small
-    positive noise eigenvalues of free-free models are still flagged.
+    The count is the largest i with eigenvalues[i] > 0 and every earlier
+    |eigenvalue| below RIGID_RATIO * eigenvalues[i], so small positive noise
+    eigenvalues of free-free models are still flagged. The gap is taken
+    against each split point, not the largest eigenvalue: a refined model's
+    spectrum spans more than 1 / RIGID_RATIO.
     """
-    lams = eigenvalues[:7].tolist()
-    for i in range(len(lams) - 1, 0, -1):
-        lam = lams[i]
-        # all() rather than max(): a NaN fails the test, as it fails np.max's
-        if lam > 0.0 and all(abs(v) < RIGID_RATIO * lam for v in lams[:i]):
-            return i
-    return 0
+    # the largest earlier |eigenvalue| at each split point i is >= 0, so
+    # passing the gap test implies eigenvalues[i] > 0; a NaN propagates
+    # through np.maximum and fails every split after it
+    earlier = np.maximum.accumulate(np.abs(eigenvalues[:-1]))
+    splits = np.flatnonzero(earlier < RIGID_RATIO * eigenvalues[1:])
+    return int(splits[-1]) + 1 if splits.size else 0
 
 
 def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
@@ -223,7 +224,7 @@ def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
 
 
 def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
-    """Modal assurance criterion matrix between two mode-shape sets.
+    """Modal assurance criterion matrix between two (n_coords, n_modes) shape sets.
 
     MAC_ij = |phi_ai . phi_bj|^2 / ((phi_ai . phi_ai)(phi_bj . phi_bj)),
     the correlation coefficient of Allemang & Brown (1982). Entries lie
@@ -234,12 +235,9 @@ def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
     # exactly (a sum against a matmul, or C- against F-order, does not).
     A = np.ascontiguousarray(shapes_a, dtype=float)
     B = np.ascontiguousarray(shapes_b, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    if B.ndim == 1:
-        B = B[:, None]
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("mode-shape sets must share observed coordinates")
+    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
+        raise ValueError("mode-shape sets must be (n_coords, n_modes) arrays on shared "
+                         f"coordinates, got shapes {A.shape} and {B.shape}")
     na = np.einsum("ki,ki->i", A, A)
     nb = np.einsum("ki,ki->i", B, B)
     if np.count_nonzero(na) < na.size or np.count_nonzero(nb) < nb.size:

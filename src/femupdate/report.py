@@ -179,7 +179,7 @@ def write_comparison(reports: list[UpdateReport], modes_path, summary_path):
             fh.write(",".join([name, first] + values) + "\n")
 
 
-def render_modes_summary(initial, truth, observed_map) -> str:
+def render_modes_summary(initial, truth) -> str:
     """Text summary of initial vs ground-truth modal data (units: Hz)."""
     lines = ["femupdate modal summary", "units: Hz", ""]
     for tag, modal in (("initial", initial), ("ground_truth", truth)):
@@ -190,7 +190,7 @@ def render_modes_summary(initial, truth, observed_map) -> str:
                          f"{'yes' if modal.rigid[i] else 'no'}")
         lines.append("shape rows: observed_dof," +
                      ",".join(f"mode{i + 1}" for i in range(modal.n_modes)))
-        for row, dof in enumerate(observed_map):
-            lines.append(f"{dof}," + ",".join(fmt(v) for v in modal.mode_shapes[row]))
+        for dof, shape_row in zip(modal.coordinate_map, modal.mode_shapes):
+            lines.append(f"{dof}," + ",".join(fmt(v) for v in shape_row))
         lines.append("")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ import numpy as np
 from .beam import BeamElement, BeamStructure
 from .modal import CostWeights, ModalData, pair_modes
 from .optimizers import Bounds, check_count
-from .updating import UpdatingProblem, solve_observed
+from .updating import RIGID_ALLOWANCE, UpdatingProblem, solve_observed
 
 log = logging.getLogger(__name__)
 
@@ -192,9 +192,13 @@ def build_scenario(spec: ScenarioSpec,
         log.warning("%d observed DOFs for %d compared modes; MAC pairing may "
                     "confuse modes", observed.size, spec.n_modes)
 
-    elastic = solve_observed(structure, truth, spec.n_modes, observed).elastic()
+    solved = solve_observed(structure, truth, spec.n_modes, observed)
+    elastic = solved.elastic()
     if elastic.n_modes < spec.n_modes:
-        raise ValueError("model yields fewer elastic modes than requested")
+        raise ValueError(
+            f"model yields fewer elastic modes than requested: {solved.n_modes} modes "
+            f"solved, {int(solved.rigid.sum())} of them rigid-body; at most "
+            f"{RIGID_ALLOWANCE} rigid-body modes are supported")
     measured = elastic.select_modes(np.arange(spec.n_modes))
 
     if spec.noise_std > 0.0:

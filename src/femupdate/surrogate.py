@@ -58,10 +58,6 @@ class SurrogateNet:
     def m_hidden(self) -> int:
         return self.w2.size - 1
 
-    @property
-    def weight_count(self) -> int:
-        return self.w1.size + self.w2.size
-
     def scale_inputs(self, x: np.ndarray) -> np.ndarray:
         return (x - self.in_center) / self.in_half
 
@@ -107,23 +103,18 @@ def _output(z: np.ndarray, w2: np.ndarray, out_scale: float, out_center: float) 
     return (z @ w2[:-1] + w2[-1]) * out_scale + out_center
 
 
-def forward(net: SurrogateNet, x: np.ndarray) -> float | np.ndarray:
-    """Network prediction in cost units.
-
-    Accepts a single parameter vector (returns a float) or an (n, d_in)
-    batch (returns an (n,) array).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or an (n, d_in) batch, got {x.ndim}-D input")
-    if x.shape[-1] != net.d_in:
-        raise ValueError(f"expected {net.d_in} inputs, got {x.shape[-1]}")
-    if not np.isfinite(x).all():
+def forward(net: SurrogateNet, X: np.ndarray) -> np.ndarray:
+    """Network predictions in cost units: an (n, d_in) batch gives an (n,) array."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected an (n, {net.d_in}) batch, got {X.ndim}-D input "
+                         f"of shape {X.shape}")
+    if X.shape[1] != net.d_in:
+        raise ValueError(f"expected {net.d_in} inputs, got {X.shape[1]}")
+    if not np.isfinite(X).all():
         raise ValueError("non-finite input")
-    z = _hidden(net.w1, net.scale_inputs(x[None] if single else x))
-    y = _output(z, net.w2, net.out_scale, net.out_center)
-    return float(y[0]) if single else y
+    return _output(_hidden(net.w1, net.scale_inputs(X)), net.w2, net.out_scale,
+                   net.out_center)
 
 
 def loss(net: SurrogateNet, data: TrainingSet) -> float:
@@ -210,7 +201,7 @@ def check_net_fits(d_in: int, m_hidden: int, n_samples: int):
     """Raise ValueError unless the net has fewer weights than training samples.
 
     A net of d_in inputs and m_hidden hidden units has
-    m_hidden * (d_in + 2) + 1 weights (SurrogateNet.weight_count).
+    m_hidden * (d_in + 2) + 1 weights.
     """
     n_weights = m_hidden * (d_in + 2) + 1
     if n_weights >= n_samples:

@@ -14,8 +14,8 @@ import pytest
 from femupdate.beam import BeamElement, BeamStructure, SystemMatrices, assemble
 from femupdate.modal import mac, solve_modes
 from femupdate.optimizers import (
-    Bounds, GaConfig, SaConfig, geometric_select, metropolis_accept,
-    nonuniform_mutate,
+    Bounds, GaConfig, SaConfig, _geometric_ranks, _mutate, geometric_select,
+    metropolis_accept, nonuniform_mutate,
 )
 from femupdate.scenario import ScenarioSpec, build_scenario
 from femupdate.surrogate import SurrogateNet, TrainingSet, grad, loss
@@ -134,6 +134,16 @@ def test_criterion_4_operator_statistics():
         deltas = [abs(nonuniform_mutate(x, t, 1000, bounds, 2.0, rng)[0] - 0.5)
                   for _ in range(10_000)]
         means.append(np.mean(deltas))
+    assert all(b < a for a, b in zip(means, means[1:]))
+
+    # the array forms a GA generation breeds with, at the same sizes and tolerances
+    ranks = _geometric_ranks(rng.random(n_trials), q, n)
+    assert abs(np.mean(ranks == 0) - q_norm) < 0.01
+    means = []
+    for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+        expo = (1.0 - int(frac * 1000) / 1000) ** 2.0
+        moved = _mutate(0.5, 0.0, 1.0, rng.random(10_000) < 0.5, rng.random(10_000), expo)
+        means.append(np.mean(np.abs(moved - 0.5)))
     assert all(b < a for a, b in zip(means, means[1:]))
     report("4 operator-statistics")
 

@@ -673,6 +673,20 @@ def test_more_modes_than_the_structure_has_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_more_rigid_modes_than_the_allowance_exit_2(tmp_path, capsys):
+    # three free 3-element beams 1 m apart: 6 rigid-body modes among the 8 solved
+    nodes = "; ".join(f"{0.1 * j:g},{c}" for c in range(3) for j in range(4))
+    elements = "; ".join(f"{4 * c + j},{4 * c + j + 1},3e-4,2.5e-9,2700,7e10"
+                         for c in range(3) for j in range(3))
+    path = tmp_path / "three_beams.ini"
+    path.write_text(f"[structure]\nnodes = {nodes}\nelements = {elements}\n"
+                    "\n[scenario]\nn_modes = 4\n")
+    assert main(["modes", "--config", str(path)]) == 2
+    assert ("[scenario] does not fit the structure: model yields fewer elastic modes "
+            "than requested: 8 modes solved, 6 of them rigid-body; at most 4 rigid-body "
+            "modes are supported") in capsys.readouterr().err
+
+
 def test_mode_the_observed_dofs_cannot_see_exit_2(tmp_path, capsys):
     # two branches clamped at node 0 do not couple: the first mode bends the
     # long branch alone, and DOF 4 lies on the short one

@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from femupdate.beam import SystemMatrices, assemble
+from femupdate.beam import BeamElement, BeamStructure, SystemMatrices, assemble
 from femupdate.modal import (
-    CostWeights, EigenSolveError, ModalData, cost, mac, pair_modes, pair_shapes,
-    solve_modes,
+    RIGID_RATIO, CostWeights, EigenSolveError, ModalData, _count_rigid, cost, mac,
+    pair_modes, pair_shapes, solve_modes,
 )
 from femupdate.optimizers import EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario, h_beam_structure
 from femupdate.updating import full_objective
+from test_metamorphic import beam_trees
 
 
 def make_system(K, M):
@@ -140,6 +142,54 @@ def test_n_modes_bounds():
         solve_modes(sys, 0)
 
 
+# ---------------------------------------------------------------- rigid count
+
+
+def first_seven_scan(eigenvalues):
+    """Reference rigid count: the split scan over the first 7 eigenvalues,
+    which covers up to 6 rigid-body modes."""
+    lams = eigenvalues[:7].tolist()
+    for i in range(len(lams) - 1, 0, -1):
+        if lams[i] > 0.0 and all(abs(v) < RIGID_RATIO * lams[i] for v in lams[:i]):
+            return i
+    return 0
+
+
+def eigenvalues(structure):
+    """The whole spectrum of the mass-reduced pencil, as solve_modes computes it."""
+    matrices = assemble(structure)
+    W = matrices.mass_factor_inv
+    A = W @ matrices.stiffness @ W.T
+    return np.linalg.eigh(0.5 * (A + A.T))[0]
+
+
+@settings(max_examples=50)
+@given(st.lists(beam_trees(), min_size=1, max_size=3))
+def test_rigid_count_matches_the_first_seven_scan_on_free_trees(trees):
+    # the trees 10 m apart, no element joining them: 2 rigid modes each
+    nodes, elements = [], []
+    for k, tree in enumerate(trees):
+        offset = sum(len(n) for n in nodes)
+        nodes.append(tree.nodes + [10.0 * k, 0.0])
+        elements += [BeamElement(e.node_a + offset, e.node_b + offset, e.area,
+                                 e.second_moment, e.density, e.elastic_modulus)
+                     for e in tree.elements]
+    lam = eigenvalues(BeamStructure(nodes=np.vstack(nodes), elements=elements))
+    assert _count_rigid(lam) == first_seven_scan(lam) == 2 * len(trees)
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(),
+    ScenarioSpec(left_flange_elements=16, right_flange_elements=20, crossbar_elements=12),
+], ids=["h12", "h48"])
+def test_rigid_count_matches_the_first_seven_scan_on_the_h_fixtures(spec):
+    lam = eigenvalues(h_beam_structure(spec))
+    assert _count_rigid(lam) == first_seven_scan(lam) == 2
+    # a NaN fails every split from its own index on
+    lam[1] = np.nan
+    assert _count_rigid(lam) == first_seven_scan(lam) == 0
+
+
 # ---------------------------------------------------------------- MAC
 
 
@@ -149,12 +199,12 @@ def test_mac_identity_for_orthonormal_set():
 
 
 def test_mac_scale_invariance():
-    phi = np.array([1.0, -2.0, 0.5])
+    phi = np.array([[1.0], [-2.0], [0.5]])
     assert mac(phi, -3.7 * phi)[0, 0] == pytest.approx(1.0)
 
 
 def test_mac_hand_value():
-    assert mac(np.array([1.0, 0.0]), np.array([1.0, 1.0]))[0, 0] == pytest.approx(0.5)
+    assert mac(np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]]))[0, 0] == pytest.approx(0.5)
 
 
 def test_mac_bounds_and_unit_diagonal():
@@ -171,7 +221,17 @@ def test_mac_bounds_and_unit_diagonal():
 
 def test_mac_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
-        mac(np.zeros(3), np.ones(3))
+        mac(np.zeros((3, 1)), np.ones((3, 1)))
+
+
+def test_one_dimensional_mode_shapes_rejected():
+    # one mode is a (n_coords, 1) column; a bare vector is a caller's slip
+    with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(3, 1\)"):
+        mac(np.ones(3), np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"got shapes \(3, 1\) and \(3,\)"):
+        mac(np.ones((3, 1)), np.ones(3))
+    with pytest.raises(ValueError, match=r"got shape \(2,\)"):
+        ModalData(frequencies=[1.0], mode_shapes=[1.0, 0.0], coordinate_map=[0, 1])
 
 
 # ---------------------------------------------------------------- cost
@@ -181,8 +241,7 @@ def modal_from(freqs, shapes, **kw):
     shapes = np.asarray(shapes, dtype=float)
     return ModalData(frequencies=np.asarray(freqs, dtype=float),
                      mode_shapes=shapes,
-                     coordinate_map=np.arange(shapes.shape[0] if shapes.ndim > 1
-                                              else len(shapes)),
+                     coordinate_map=np.arange(shapes.shape[0]),
                      **kw)
 
 
@@ -219,8 +278,8 @@ def test_cost_nonnegative_for_identical_random_shapes():
 
 
 def test_cost_single_mode_hand_value():
-    calc = modal_from([90.0], [1.0, 0.0])
-    meas = modal_from([100.0], [1.0, 0.0])
+    calc = modal_from([90.0], [[1.0], [0.0]])
+    meas = modal_from([100.0], [[1.0], [0.0]])
     assert cost(calc, meas, CostWeights(gamma=[1.0], beta=0.0),
                 pair_modes(calc, meas)) == pytest.approx(0.01)
 
@@ -260,12 +319,12 @@ def test_cost_weights_reject_negative_and_non_finite_values(bad):
 
 
 def test_cost_errors():
-    calc = modal_from([1.0], [1.0, 0.0])
+    calc = modal_from([1.0], [[1.0], [0.0]])
     meas2 = modal_from([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         cost(calc, meas2, CostWeights(gamma=[1.0, 1.0], beta=0.0),
              identity_pairing(calc, meas2))
-    zero = modal_from([0.0], [1.0, 0.0])
+    zero = modal_from([0.0], [[1.0], [0.0]])
     with pytest.raises(ValueError, match="non-zero"):
         cost(calc, zero, CostWeights(gamma=[1.0], beta=0.0), identity_pairing(calc, zero))
 
@@ -312,7 +371,7 @@ def test_low_mac_pairing_logs_its_template(caplog):
 
 
 def test_pair_modes_insufficient_elastic():
-    d = modal_from([1.0], [1.0, 0.0])
+    d = modal_from([1.0], [[1.0], [0.0]])
     meas = modal_from([1.0, 2.0], np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="elastic"):
         pair_modes(d, meas)

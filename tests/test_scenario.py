@@ -306,6 +306,21 @@ def test_short_cantilever_solves_within_reduced_dofs():
     assert full_objective(problem, truth, EvalBudget()) < 1e-10
 
 
+@pytest.mark.parametrize("components", [3, 4])
+def test_more_rigid_modes_than_the_allowance_raises(components):
+    # free 3-element beams 1 m apart: 2 rigid-body modes each, so the lowest
+    # n_modes + RIGID_ALLOWANCE = 8 modes hold 6 or 8 of them
+    beams = BeamStructure(
+        nodes=np.array([[0.1 * j, float(c)] for c in range(components) for j in range(4)]),
+        elements=[BeamElement(4 * c + j, 4 * c + j + 1, 3e-4, 2.5e-9, 2700.0, 7e10)
+                  for c in range(components) for j in range(3)],
+    )
+    with pytest.raises(ValueError, match=(
+            "model yields fewer elastic modes than requested: 8 modes solved, "
+            f"{2 * components} of them rigid-body; at most 4 rigid-body modes")):
+        build_scenario(ScenarioSpec(n_modes=4), structure=beams)
+
+
 def test_fewer_observed_dofs_than_modes_warns(caplog):
     from femupdate.beam import BeamElement, BeamStructure
 

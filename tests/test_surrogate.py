@@ -48,18 +48,18 @@ def fd_gradient(net, data, step=1e-6):
 def test_forward_zero_weights_gives_output_bias():
     net = identity_net(np.zeros((3, 5)), np.zeros(4), d_in=4)
     net.out_center, net.out_scale = 1.5, 2.0
-    assert forward(net, np.zeros(4)) == pytest.approx(1.5)
+    assert forward(net, np.zeros((1, 4))) == pytest.approx([1.5])
 
 
 def test_forward_zero_input_hand_case():
     net = identity_net([[1.0, 0.0]], [1.0, 0.0], d_in=1)
-    assert forward(net, np.array([0.0])) == pytest.approx(0.0)
+    assert forward(net, np.array([[0.0]])) == pytest.approx([0.0])
 
 
 def test_forward_tanh_hand_value():
     net = identity_net([[1.0, 0.0]], [2.0, 0.5], d_in=1)
-    assert forward(net, np.array([1.0])) == pytest.approx(2.0 * math.tanh(1.0) + 0.5,
-                                                          rel=1e-12)
+    assert forward(net, np.array([[1.0]])) == pytest.approx([2.0 * math.tanh(1.0) + 0.5],
+                                                            rel=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -67,22 +67,24 @@ def test_forward_batch_matches_single():
     net = random_net(rng, 3, 4)
     X = rng.standard_normal((6, 3))
     batch = forward(net, X)
-    np.testing.assert_allclose(batch, [forward(net, x) for x in X], rtol=1e-12)
+    rows = np.concatenate([forward(net, X[i:i + 1]) for i in range(len(X))])
+    np.testing.assert_allclose(batch, rows, rtol=1e-12)
 
 
 def test_forward_dimension_and_finite_checks():
     net = identity_net([[1.0, 0.0]], [1.0, 0.0], d_in=1)
     with pytest.raises(ValueError):
-        forward(net, np.array([1.0, 2.0]))
+        forward(net, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
-        forward(net, np.array([np.nan]))
+        forward(net, np.array([[np.nan]]))
 
 
 def test_forward_checks_batch_width():
     net = random_net(np.random.default_rng(1), 3, 4)
-    for x in (np.zeros(5), np.zeros((4, 5))):
-        with pytest.raises(ValueError, match="expected 3 inputs, got 5"):
-            forward(net, x)
+    with pytest.raises(ValueError, match="expected 3 inputs, got 5"):
+        forward(net, np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=r"1-D input of shape \(3,\)"):
+        forward(net, np.zeros(3))
     with pytest.raises(ValueError, match="3-D input"):
         forward(net, np.zeros((2, 4, 3)))
 
@@ -91,10 +93,10 @@ def test_forward_bounded_by_second_layer_weights():
     rng = np.random.default_rng(1)
     for _ in range(10):
         net = random_net(rng, 4, 6)
-        x = rng.uniform(-5.0, 5.0, 4)
+        x = rng.uniform(-5.0, 5.0, (1, 4))
         bias_term = net.w2[-1] * net.out_scale + net.out_center
         bound = np.abs(net.w2[:-1]).sum() * abs(net.out_scale)
-        assert abs(forward(net, x) - bias_term) <= bound + 1e-12
+        assert abs(forward(net, x)[0] - bias_term) <= bound + 1e-12
 
 
 # ---------------------------------------------------------------- loss
@@ -161,7 +163,7 @@ def test_gradient_doubles_with_duplicated_samples():
 def test_init_net_weight_count_and_scaling():
     b = Bounds(lower=np.full(12, 6.0e10), upper=np.full(12, 8.0e10))
     net = init_net(12, 8, b, seed=1)
-    assert net.weight_count == (12 + 1) * 8 + 8 + 1 == 113
+    assert net.flat_weights().size == (12 + 1) * 8 + 8 + 1 == 113
     np.testing.assert_allclose(net.scale_inputs(np.full(12, 7.0e10)), 0.0, atol=1e-15)
     np.testing.assert_allclose(net.scale_inputs(np.full(12, 8.0e10)), 1.0)
 
@@ -273,7 +275,7 @@ def test_train_objective_is_loss_and_grad_bit_for_bit(d_in, m_hidden, n):
     for offset in range(4):
         # SCG hands over fresh vectors; a slice at an offset checks that
         # memory alignment does not change the sums
-        w = rng.standard_normal(net.weight_count + offset)[offset:]
+        w = rng.standard_normal(net.flat_weights().size + offset)[offset:]
         oracle = net.with_flat_weights(w)
         assert f(w) == loss(oracle, data)
         np.testing.assert_array_equal(df(w), grad(oracle, data))

@@ -6,6 +6,12 @@ computed once per structure (see beam.SystemMatrices.mass_factor_inv).
 Each solve then runs on numpy's LAPACK alone, the BLAS build and thread
 pool that assembly uses too: a second BLAS library in the evaluation
 would bring a second thread pool, and the two spin against each other.
+
+solve_modes returns a SolvedModes named tuple of plain arrays on the
+reduced DOFs; updating.solve_observed restricts a solve to observed DOFs
+and builds its one checked ModalData. Each array argument has one form:
+ModalData's frequencies, coordinate_map and rigid are 1-D and its mode
+shapes (n_coords, n_modes); any other shape raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +61,14 @@ class ModalData:
     rigid: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.frequencies = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
+        self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.mode_shapes = np.asarray(self.mode_shapes, dtype=float)
-        self.coordinate_map = np.atleast_1d(np.asarray(self.coordinate_map, dtype=int))
+        self.coordinate_map = np.asarray(self.coordinate_map, dtype=int)
         n = self.n_modes
-        if self.rigid is None:
-            self.rigid = np.zeros(n, dtype=bool)
-        self.rigid = np.atleast_1d(np.asarray(self.rigid, dtype=bool))
+        self.rigid = np.asarray(np.zeros(n) if self.rigid is None else self.rigid, dtype=bool)
+        for name in ("frequencies", "coordinate_map", "rigid"):
+            if (a := getattr(self, name)).ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
         if not np.all((self.frequencies >= 0.0) & (self.frequencies < np.inf)):
             raise ValueError("frequencies must be non-negative and finite")
         if np.any(np.diff(self.frequencies) < 0.0):
@@ -121,6 +129,14 @@ def coordinate_rows(coordinate_map: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     return rows
 
 
+class SolvedModes(NamedTuple):
+    """What solve_modes returns: arrays on the reduced DOFs, not yet restricted."""
+
+    frequencies: np.ndarray  # (n_modes,) rad/s, ascending
+    mode_shapes: np.ndarray  # (n_dofs, n_modes), rows in dof_map order
+    rigid: np.ndarray        # (n_modes,) bool
+
+
 @dataclass
 class CostWeights:
     """Frequency weights gamma (one per mode) and mode-shape weight beta."""
@@ -152,14 +168,14 @@ def _count_rigid(eigenvalues: np.ndarray) -> int:
     return int(splits[-1]) + 1 if splits.size else 0
 
 
-def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
+def solve_modes(matrices: SystemMatrices, n_modes: int) -> SolvedModes:
     """Lowest n_modes eigenpairs of K phi = omega^2 M phi.
 
     With M = L L^T and W = L^-1 (matrices.mass_factor_inv, factored once
     per structure by assemble, or on first use for hand-built matrices),
     the pencil is reduced to the standard symmetric problem
     A = W K W^T and solved densely with numpy.linalg.eigh, so the whole
-    solve stays on numpy's BLAS pool. Returned shapes are
+    solve stays on numpy's BLAS pool. Returned SolvedModes shapes are
     mass-normalized (phi^T M phi = 1). Rigid-body modes (omega ~ 0) stay
     in the spectrum and are flagged.
 
@@ -213,14 +229,7 @@ def solve_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
                 f"eigen residual {rel[i]:.3e} exceeds {RESIDUAL_TOL:.1e} "
                 f"(worst of {n_modes - n_rigid} elastic modes)")
 
-    # valid by construction, so ModalData's checks are skipped: omega2 is
-    # ascending (eigh sorts) and >= 0, one shape column and flag per mode
-    modes = object.__new__(ModalData)
-    modes.frequencies = np.sqrt(omega2)
-    modes.mode_shapes = phi
-    modes.coordinate_map = matrices.dof_map.copy()
-    modes.rigid = rigid
-    return modes
+    return SolvedModes(np.sqrt(omega2), phi, rigid)
 
 
 def mac(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:

@@ -45,16 +45,17 @@ def check_count(name: str, value, least: int) -> None:
 
 @dataclass
 class Bounds:
-    """Component-wise lower/upper box bounds."""
+    """Component-wise lower/upper box bounds, two (d,) vectors."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("bound vectors must have equal length")
+        self.lower = np.asarray(self.lower, dtype=float)
+        self.upper = np.asarray(self.upper, dtype=float)
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise ValueError("bounds must be 1-D vectors of equal length, got shapes "
+                             f"{self.lower.shape} and {self.upper.shape}")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("bounds must be finite")
         if np.any(self.lower >= self.upper):

@@ -73,16 +73,17 @@ class SurrogateNet:
 
 @dataclass
 class TrainingSet:
-    """Sampled parameter vectors and their cost values."""
+    """Sampled parameter vectors, (n, d) inputs, and their (n,) cost targets."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = np.atleast_1d(np.asarray(self.targets, dtype=float))
-        if self.inputs.shape[0] != self.targets.size:
-            raise ValueError("inputs and targets must have matching rows")
+        self.inputs = np.asarray(self.inputs, dtype=float)
+        self.targets = np.asarray(self.targets, dtype=float)
+        if self.inputs.ndim != 2 or self.targets.shape != self.inputs.shape[:1]:
+            raise ValueError("need (n, d) inputs and (n,) targets, got shapes "
+                             f"{self.inputs.shape} and {self.targets.shape}")
         if self.targets.size < 1:
             raise ValueError("training set is empty")
         if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):

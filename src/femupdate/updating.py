@@ -19,8 +19,8 @@ import numpy as np
 
 from .beam import BeamStructure, SystemMatrices, assemble
 from .modal import (
-    TWO_PI, CostWeights, EigenSolveError, ModalData, coordinate_rows, modal_distance,
-    pair_shapes, solve_modes,
+    TWO_PI, CostWeights, EigenSolveError, ModalData, SolvedModes, coordinate_rows,
+    modal_distance, pair_shapes, solve_modes,
 )
 from .optimizers import (
     Bounds, EvalBudget, GaConfig, HistoryRecord, OptimizeResult, SaConfig, check_count,
@@ -180,7 +180,7 @@ def _compare(problem: UpdatingProblem, params: np.ndarray):
     return modes.frequencies[pairing[0]], pairing[1], c
 
 
-def _lowest_modes(matrices: SystemMatrices, n_modes: int) -> ModalData:
+def _lowest_modes(matrices: SystemMatrices, n_modes: int) -> SolvedModes:
     """The lowest n_modes + RIGID_ALLOWANCE modes, capped at the DOF count."""
     return solve_modes(matrices, min(n_modes + RIGID_ALLOWANCE, matrices.dof_count))
 
@@ -193,7 +193,10 @@ def solve_observed(structure: BeamStructure, moduli: np.ndarray | None,
     crowd out compared ones, capped at the DOF count left after the
     boundary constraints. moduli=None uses the structure's stored moduli.
     """
-    return _lowest_modes(assemble(structure, moduli), n_modes).at_coordinates(observed)
+    matrices = assemble(structure, moduli)
+    modes = _lowest_modes(matrices, n_modes)
+    return ModalData(frequencies=modes.frequencies, rigid=modes.rigid, coordinate_map=observed,
+                     mode_shapes=modes.mode_shapes[coordinate_rows(matrices.dof_map, observed)])
 
 
 def sample_design(bounds: Bounds, n: int, seed: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Eigensolver oracle checks, MAC, cost and mode pairing."""
 
 import math
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from femupdate.modal import (
 )
 from femupdate.optimizers import EvalBudget
 from femupdate.scenario import ScenarioSpec, build_scenario, h_beam_structure
-from femupdate.updating import full_objective
+from femupdate.updating import RIGID_ALLOWANCE, full_objective, solve_observed
 from test_metamorphic import beam_trees
 
 
@@ -234,6 +236,18 @@ def test_one_dimensional_mode_shapes_rejected():
         ModalData(frequencies=[1.0], mode_shapes=[1.0, 0.0], coordinate_map=[0, 1])
 
 
+@pytest.mark.parametrize("name", ["frequencies", "coordinate_map", "rigid"])
+@pytest.mark.parametrize("bad", [[[0.0, 1.0]], 1.0], ids=["2-D", "0-D"])
+def test_modal_data_per_mode_and_per_coordinate_fields_are_one_dimensional(name, bad):
+    # a (1, 2) frequencies array would pass the per-mode counts and fail in elastic()
+    fields = dict(frequencies=[1.0, 2.0], mode_shapes=np.eye(2), coordinate_map=[0, 1],
+                  rigid=[False, False])
+    fields[name] = bad
+    shape = re.escape(str(np.shape(bad)))
+    with pytest.raises(ValueError, match=f"{name} must be a 1-D array, got shape {shape}"):
+        ModalData(**fields)
+
+
 # ---------------------------------------------------------------- cost
 
 
@@ -394,6 +408,26 @@ def test_at_coordinates_follows_unsorted_map(seed):
     for missing in ([1], [cmap[0], 19], [-2], [20]):
         with pytest.raises(ValueError, match="not observed"):
             data.at_coordinates(missing)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=50)
+@given(beam_trees(), st.data())
+def test_solve_observed_on_every_dof_is_the_solve_through_the_checked_constructor(tree, data):
+    matrices = assemble(tree)
+    n_modes = data.draw(st.integers(1, matrices.dof_count))
+    checked, built = ModalData.__post_init__, []
+    with mock.patch.object(ModalData, "__post_init__",
+                           lambda self: built.append(checked(self))):
+        observed = solve_observed(tree, None, n_modes, matrices.dof_map)
+    assert len(built) == 1
+    solved = solve_modes(matrices, min(n_modes + RIGID_ALLOWANCE, matrices.dof_count))
+    for name in ("frequencies", "mode_shapes", "rigid"):
+        assert same_bits(getattr(observed, name), getattr(solved, name)), name
+    assert same_bits(observed.coordinate_map, matrices.dof_map)
 
 
 def test_objective_independent_of_observed_order():

@@ -1,6 +1,7 @@
 """GA/SA operator statistics, convergence checks and budget accounting."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -578,6 +579,19 @@ def test_bounds_reject_non_finite_entries(value):
         Bounds(lower=[0.0, value], upper=[1.0, 1.0])
     with pytest.raises(ValueError, match="bounds must be finite"):
         Bounds(lower=[0.0, 0.0], upper=[value, 1.0])
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([[1.0, 1.0, 1.0]], [[2.0, 2.0, 2.0]]),
+    (1.0, 2.0),
+    ([1.0, 1.0], [2.0, 2.0, 2.0]),
+])
+def test_bounds_are_two_one_dimensional_vectors_of_equal_length(lower, upper):
+    # (1, 3) bounds would report dim 3 and fail at the GA's first mutation
+    message = (f"bounds must be 1-D vectors of equal length, got shapes {np.shape(lower)} "
+               f"and {np.shape(upper)}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Bounds(lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------- SA

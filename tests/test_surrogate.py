@@ -1,6 +1,7 @@
 """MLP response-surface tests: forward/loss oracles, gradient check, SCG."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,18 @@ def test_train_enforces_weight_count():
     data = TrainingSet(inputs=np.zeros((5, 3)), targets=np.zeros(5))
     with pytest.raises(ValueError, match="weights"):
         train(net, data, cycles=1)
+
+
+@pytest.mark.parametrize("inputs, targets", [
+    (np.zeros((40, 3)), np.zeros((40, 1))),
+    (np.zeros(3), np.zeros(1)),
+    (np.zeros((40, 3)), np.zeros(39)),
+])
+def test_training_set_takes_n_by_d_inputs_and_n_targets(inputs, targets):
+    # (40, 1) targets would pass the row count and fail inside the loss
+    message = f"need (n, d) inputs and (n,) targets, got shapes {inputs.shape} and {targets.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainingSet(inputs=inputs, targets=targets)
 
 
 def test_train_does_not_mutate_input_net():

@@ -36,7 +36,10 @@ METHODS = ("rsm", "ga", "sa")
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed

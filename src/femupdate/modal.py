@@ -11,7 +11,9 @@ solve_modes returns a SolvedModes named tuple of plain arrays on the
 reduced DOFs; updating.solve_observed restricts a solve to observed DOFs
 and builds its one checked ModalData. Each array argument has one form:
 ModalData's frequencies, coordinate_map and rigid are 1-D and its mode
-shapes (n_coords, n_modes); any other shape raises ValueError naming it.
+shapes (n_coords, n_modes); select_modes and at_coordinates take 1-D
+integer arrays; CostWeights takes a 1-D gamma and a scalar beta. Any
+other shape, a scalar index included, raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beam import SystemMatrices
+from .optimizers import check_array
 
 log = logging.getLogger(__name__)
 
@@ -61,14 +64,12 @@ class ModalData:
     rigid: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
+        self.frequencies = check_array("frequencies", self.frequencies, 1)
         self.mode_shapes = np.asarray(self.mode_shapes, dtype=float)
-        self.coordinate_map = np.asarray(self.coordinate_map, dtype=int)
+        self.coordinate_map = check_array("coordinate_map", self.coordinate_map, 1, int)
         n = self.n_modes
-        self.rigid = np.asarray(np.zeros(n) if self.rigid is None else self.rigid, dtype=bool)
-        for name in ("frequencies", "coordinate_map", "rigid"):
-            if (a := getattr(self, name)).ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
+        self.rigid = check_array("rigid", np.zeros(n) if self.rigid is None else self.rigid,
+                                 1, bool)
         if not np.all((self.frequencies >= 0.0) & (self.frequencies < np.inf)):
             raise ValueError("frequencies must be non-negative and finite")
         if np.any(np.diff(self.frequencies) < 0.0):
@@ -93,7 +94,7 @@ class ModalData:
 
     def select_modes(self, indices) -> "ModalData":
         """New ModalData holding the given modes (order preserved)."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=int))
+        idx = check_array("indices", indices, 1, int)
         return ModalData(
             frequencies=self.frequencies[idx],
             mode_shapes=self.mode_shapes[:, idx],
@@ -107,7 +108,7 @@ class ModalData:
 
     def at_coordinates(self, dofs) -> "ModalData":
         """Restrict mode shapes to the given global DOF indices."""
-        dofs = np.atleast_1d(np.asarray(dofs, dtype=int))
+        dofs = check_array("dofs", dofs, 1, int)
         rows = coordinate_rows(self.coordinate_map, dofs)
         return ModalData(
             frequencies=self.frequencies.copy(),
@@ -145,7 +146,8 @@ class CostWeights:
     beta: float
 
     def __post_init__(self):
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        self.gamma = check_array("gamma", self.gamma, 1)
+        self.beta = float(check_array("beta", self.beta, 0))
         for name, w in (("gamma", self.gamma), ("beta", self.beta)):
             if not np.all((w >= 0.0) & (w < np.inf)):  # fails on nan too
                 raise ValueError(f"weights must be non-negative and finite, got {name}={w}")

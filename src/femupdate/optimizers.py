@@ -8,6 +8,12 @@ SA takes a scalar objective f(x) -> float, since its chain is
 sequential. Every candidate handed to an objective lies inside the
 bounds.
 
+Each argument has one form, and any other raises ValueError naming it:
+a count goes through check_count (EvalBudget's limit, nonuniform_mutate's
+t and t_max among them), an array through check_array. Bounds.contains
+and sa_optimize's x0 take (d,) vectors, and metropolis_accept a positive,
+finite temperature.
+
 No GA breeding draw (selection, crossover, mutation) depends on a cost,
 so a GA run makes them in blocks of SCHEDULE_BLOCK generations, each
 just before the first generation it breeds; a generation is then a few
@@ -43,6 +49,14 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def check_array(name: str, value, ndim: int, dtype=float) -> np.ndarray:
+    """value as a dtype array; ValueError naming it unless it has ndim dimensions."""
+    a = np.asarray(value, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
+    return a
+
+
 @dataclass
 class Bounds:
     """Component-wise lower/upper box bounds, two (d,) vectors."""
@@ -70,6 +84,8 @@ class Bounds:
         return self.upper - self.lower
 
     def contains(self, x: np.ndarray) -> bool:
+        if np.shape(x) != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {np.shape(x)}")
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
@@ -164,6 +180,8 @@ class EvalBudget:
     """
 
     def __init__(self, limit: int | None = None):
+        if limit is not None:
+            check_count("limit", limit, 0)
         self.limit = limit
         self._calls = 0
         self.solves = 0
@@ -228,6 +246,8 @@ def nonuniform_mutate(x: np.ndarray, t: int, t_max: int, bounds: Bounds,
     delta(t, y) = y * (1 - r^((1 - t/t_max)^b)), y being the distance to
     that bound. The perturbation contracts to zero as t approaches t_max.
     """
+    check_count("t", t, 0)
+    check_count("t_max", t_max, 1)
     if t > t_max:
         raise ValueError("generation exceeds maximum generation")
     i = int(rng.integers(x.size))
@@ -279,6 +299,8 @@ def _geometric_ranks(u, q: float, n: int):
 
 def metropolis_accept(e_old: float, e_new: float, temperature: float, rng) -> bool:
     """Metropolis rule: always downhill, uphill with exp(-dE/T)."""
+    if not 0.0 < temperature < math.inf:  # fails on nan too
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     de = e_new - e_old
     if de <= 0.0:
         return True
@@ -417,6 +439,8 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
     best over all runs is returned. An objective raising BudgetExhausted
     truncates the run. RuntimeError if no evaluated cost is finite.
     """
+    if x0 is not None and not (np.shape(x0) == (bounds.dim,) and bounds.contains(x0)):
+        raise ValueError(f"x0 must lie in the {bounds.dim}-D bounds, got shape {np.shape(x0)}")
     rng = np.random.default_rng(cfg.seed)
     steps = cfg.steps_per_temperature or 4 * bounds.dim
     std = cfg.step_scale * bounds.range
@@ -431,9 +455,7 @@ def sa_optimize(objective, bounds: Bounds, cfg: SaConfig,
     for run in range(cfg.n_runs):
         try:
             if run == 0 and x0 is not None:
-                if not bounds.contains(np.asarray(x0, dtype=float)):
-                    raise ValueError("x0 must lie inside the bounds")
-                x = np.asarray(x0, dtype=float).copy()
+                x = np.array(x0, dtype=float)
             else:
                 x = rng.uniform(bounds.lower, bounds.upper)
             e = float(objective(x))

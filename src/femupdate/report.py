@@ -135,8 +135,11 @@ def write_history(history, path):
 
 
 def write_design(inputs: np.ndarray, costs: np.ndarray, path):
-    """Design points with their full-model costs (sample command output)."""
-    inputs = np.atleast_2d(inputs)
+    """Design points, (n, d) inputs, with their (n,) full-model costs (sample output)."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2 or np.shape(costs) != inputs.shape[:1]:
+        raise ValueError("need (n, d) inputs and (n,) costs, got shapes "
+                         f"{inputs.shape} and {np.shape(costs)}")
     names = [f"modulus_{j:02d}" for j in range(inputs.shape[1])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names + ["cost"]) + "\n")

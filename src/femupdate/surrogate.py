@@ -4,6 +4,12 @@ The network maps updating-parameter vectors to a scalar cost prediction:
 tanh hidden units, linear output. Inputs are affinely scaled to [-1, 1]
 from the parameter bounds; the target scaling is fixed at initialization
 so that warm-started training keeps the meaning of the weights.
+
+Each argument has one form, and any other raises ValueError naming it.
+SurrogateNet's w1 is 2-D and its w2, in_center and in_half are 1-D;
+forward takes an (n, d_in) batch. init_net(bounds, m_hidden, seed)
+takes a Bounds and reads d_in from bounds.dim. Counts (m_hidden, seed,
+cycles and check_net_fits' three sizes) go through check_count.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .optimizers import Bounds, check_array, check_count
 
 log = logging.getLogger(__name__)
 
@@ -32,10 +40,10 @@ class SurrogateNet:
     out_scale: float = 1.0
 
     def __post_init__(self):
-        self.w1 = np.atleast_2d(np.asarray(self.w1, dtype=float))
-        self.w2 = np.atleast_1d(np.asarray(self.w2, dtype=float))
-        self.in_center = np.atleast_1d(np.asarray(self.in_center, dtype=float))
-        self.in_half = np.atleast_1d(np.asarray(self.in_half, dtype=float))
+        self.w1 = check_array("w1", self.w1, 2)
+        self.w2 = check_array("w2", self.w2, 1)
+        self.in_center = check_array("in_center", self.in_center, 1)
+        self.in_half = check_array("in_half", self.in_half, 1)
         if self.w1.shape != (self.m_hidden, self.d_in + 1):
             raise ValueError("w1 shape inconsistent with w2/in_center")
         if self.w2.shape != (self.m_hidden + 1,):
@@ -140,25 +148,22 @@ def _grad(w1, w2, xs, targets, out_scale, out_center) -> np.ndarray:
     return np.concatenate([g1.ravel(), g2])
 
 
-def init_net(d_in: int, m_hidden: int, bounds, seed: int,
+def init_net(bounds: Bounds, m_hidden: int, seed: int,
              target_center: float = 0.0, target_scale: float = 1.0) -> SurrogateNet:
-    """Small random net with input scaling derived from parameter bounds.
+    """Small random net, one input per bounded parameter, inputs scaled by the bounds.
 
-    Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]. `bounds` is
-    anything with lower/upper arrays.
+    Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
     """
-    lower = np.asarray(bounds.lower, dtype=float)
-    upper = np.asarray(bounds.upper, dtype=float)
-    if lower.size != d_in:
-        raise ValueError("bounds dimension must equal d_in")
+    check_count("m_hidden", m_hidden, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    a1 = 1.0 / np.sqrt(d_in + 1)
+    a1 = 1.0 / np.sqrt(bounds.dim + 1)
     a2 = 1.0 / np.sqrt(m_hidden + 1)
     return SurrogateNet(
-        w1=rng.uniform(-a1, a1, (m_hidden, d_in + 1)),
+        w1=rng.uniform(-a1, a1, (m_hidden, bounds.dim + 1)),
         w2=rng.uniform(-a2, a2, m_hidden + 1),
-        in_center=0.5 * (lower + upper),
-        in_half=0.5 * (upper - lower),
+        in_center=0.5 * (bounds.lower + bounds.upper),
+        in_half=0.5 * bounds.range,
         out_center=float(target_center),
         out_scale=float(target_scale),
     )
@@ -204,6 +209,8 @@ def check_net_fits(d_in: int, m_hidden: int, n_samples: int):
     A net of d_in inputs and m_hidden hidden units has
     m_hidden * (d_in + 2) + 1 weights.
     """
+    for name, n in (("d_in", d_in), ("m_hidden", m_hidden), ("n_samples", n_samples)):
+        check_count(name, n, 1)
     n_weights = m_hidden * (d_in + 2) + 1
     if n_weights >= n_samples:
         raise ValueError(f"net has {n_weights} weights but only {n_samples} "
@@ -217,8 +224,7 @@ def train(net: SurrogateNet, data: TrainingSet, cycles: int) -> SurrogateNet:
     weights seen; the loss never increases from first to last cycle. The
     input net is left untouched, so repeated calls warm-start naturally.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
+    check_count("cycles", cycles, 1)
     check_net_fits(net.d_in, net.m_hidden, data.n_samples)
 
     f, df = _flat_loss_and_grad(net, data)

@@ -287,7 +287,7 @@ def rsm_update(problem: UpdatingProblem, cfg: RsmConfig) -> UpdateReport:
     design_best_cost = best_cost
 
     center, scale = target_scaling(t)
-    net = init_net(d, cfg.m_hidden, problem.bounds, seed=cfg.sampler_seed,
+    net = init_net(problem.bounds, cfg.m_hidden, seed=cfg.sampler_seed,
                    target_center=center, target_scale=scale)
 
     history: list[HistoryRecord] = []

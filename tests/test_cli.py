@@ -82,6 +82,20 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     assert load_settings(documented) == load_settings(empty)
 
 
+def test_readme_library_use_examples_run(capsys):
+    # the two python blocks under "Library use", in order, in one namespace
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert printed[0] == "160"  # fe_evaluations, then the updated error
+    assert printed[2] == "True 500"
+
+
 ALL_KEYS_CONFIG = """\
 [structure]
 crossbar_length = 0.7
@@ -434,6 +448,18 @@ def test_negative_seed_flag_exit_2(small_config, tmp_path, capsys):
               "--out", str(out), "--seed", "-4"])
     assert exc.value.code == 2
     assert "seed must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", "2.5"])
+def test_non_integer_seed_flag_names_seed(small_config, tmp_path, capsys, seed):
+    # a ValueError from the type function would print "invalid _seed value"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(small_config), "--method", "rsm",
+              "--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: seed must be an integer, got '{seed}'" in capsys.readouterr().err
     assert not out.exists()
 
 

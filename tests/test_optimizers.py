@@ -100,6 +100,18 @@ def test_mutation_at_bound_toward_bound_is_identity():
     assert out[0] == 1.0
 
 
+@pytest.mark.parametrize("t, t_max, message", [
+    (0, 0, "t_max must be >= 1"),
+    (2.5, 10, "t must be an integer, got 2.5"),
+    (-1, 10, "t must be >= 0"),
+])
+def test_mutation_generations_are_counts(t, t_max, message):
+    # unchecked, t_max = 0 divides by zero, and t = 2.5 or t = -1 mutates
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nonuniform_mutate(np.array([0.5]), t, t_max, unit_box(1), 2.0,
+                          np.random.default_rng(0))
+
+
 def test_mutation_magnitude_contracts_with_generation():
     rng = np.random.default_rng(3)
     b = unit_box(1)
@@ -169,6 +181,14 @@ def test_metropolis_always_accepts_downhill_and_equal():
 def test_metropolis_uphill_frozen_at_zero_temperature():
     rng = np.random.default_rng(9)
     assert not any(metropolis_accept(1.0, 1.5, 1e-300, rng) for _ in range(100))
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_metropolis_rejects_a_temperature_not_positive_and_finite(temperature):
+    # unchecked, T = 0 divides by zero, T = -1 overflows exp(-dE / T) or
+    # accepts every uphill move, and nan or inf decides without a word
+    with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        metropolis_accept(0.0, 1000.0, temperature, np.random.default_rng(0))
 
 
 def test_metropolis_uphill_acceptance_rate():

@@ -163,7 +163,7 @@ def test_gradient_doubles_with_duplicated_samples():
 
 def test_init_net_weight_count_and_scaling():
     b = Bounds(lower=np.full(12, 6.0e10), upper=np.full(12, 8.0e10))
-    net = init_net(12, 8, b, seed=1)
+    net = init_net(b, 8, seed=1)
     assert net.flat_weights().size == (12 + 1) * 8 + 8 + 1 == 113
     np.testing.assert_allclose(net.scale_inputs(np.full(12, 7.0e10)), 0.0, atol=1e-15)
     np.testing.assert_allclose(net.scale_inputs(np.full(12, 8.0e10)), 1.0)
@@ -171,11 +171,11 @@ def test_init_net_weight_count_and_scaling():
 
 def test_init_net_deterministic_per_seed():
     b = Bounds(lower=np.zeros(3), upper=np.ones(3))
-    n1 = init_net(3, 4, b, seed=77)
-    n2 = init_net(3, 4, b, seed=77)
+    n1 = init_net(b, 4, seed=77)
+    n2 = init_net(b, 4, seed=77)
     np.testing.assert_array_equal(n1.w1, n2.w1)
     np.testing.assert_array_equal(n1.w2, n2.w2)
-    assert not np.array_equal(n1.w1, init_net(3, 4, b, seed=78).w1)
+    assert not np.array_equal(n1.w1, init_net(b, 4, seed=78).w1)
 
 
 @pytest.mark.parametrize("name", ["in_center", "in_half", "out_center", "out_scale"])
@@ -190,7 +190,7 @@ def test_net_rejects_a_non_finite_scaling(name, bad):
 def test_scaling_round_trip():
     rng = np.random.default_rng(6)
     b = Bounds(lower=np.array([6.0e10, 1.0, -4.0]), upper=np.array([8.0e10, 3.0, -1.0]))
-    net = init_net(3, 2, b, seed=9)
+    net = init_net(b, 2, seed=9)
     for _ in range(20):
         x = rng.uniform(b.lower, b.upper)
         np.testing.assert_allclose(net.scale_inputs(x) * net.in_half + net.in_center, x,
@@ -213,7 +213,7 @@ def test_train_monotone_descent():
     rng = np.random.default_rng(8)
     for seed in range(5):
         b = Bounds(lower=-np.ones(2), upper=np.ones(2))
-        net = init_net(2, 3, b, seed=seed)
+        net = init_net(b, 3, seed=seed)
         X = rng.uniform(-1.0, 1.0, (30, 2))
         data = TrainingSet(inputs=X, targets=np.sin(3.0 * X[:, 0]) + X[:, 1]**2)
         before = loss(net, data)
@@ -228,7 +228,7 @@ def test_train_fits_quadratic():
     t = x[:, 0] ** 2
     b = Bounds(lower=np.array([-1.0]), upper=np.array([1.0]))
     center, scale = target_scaling(t)
-    net = init_net(1, 8, b, seed=3, target_center=center, target_scale=scale)
+    net = init_net(b, 8, seed=3, target_center=center, target_scale=scale)
     trained = train(net, TrainingSet(inputs=x, targets=t), cycles=150)
     rms = np.sqrt(loss(trained, TrainingSet(inputs=x, targets=t)) / 150.0)
     assert rms < 0.05
@@ -240,7 +240,7 @@ def test_train_warm_start_on_augmented_set():
     t = np.cos(2.0 * x[:, 0])
     b = Bounds(lower=np.array([-1.0]), upper=np.array([1.0]))
     center, scale = target_scaling(t)
-    net = init_net(1, 4, b, seed=5, target_center=center, target_scale=scale)
+    net = init_net(b, 4, seed=5, target_center=center, target_scale=scale)
     net150 = train(net, TrainingSet(inputs=x, targets=t), cycles=150)
     x_aug = np.vstack([x, [[0.5]]])
     t_aug = np.concatenate([t, [np.cos(1.0)]])
@@ -251,7 +251,7 @@ def test_train_warm_start_on_augmented_set():
 
 def test_train_enforces_weight_count():
     b = Bounds(lower=np.zeros(3), upper=np.ones(3))
-    net = init_net(3, 2, b, seed=0)  # 11 weights
+    net = init_net(b, 2, seed=0)  # 11 weights
     data = TrainingSet(inputs=np.zeros((5, 3)), targets=np.zeros(5))
     with pytest.raises(ValueError, match="weights"):
         train(net, data, cycles=1)
@@ -272,7 +272,7 @@ def test_training_set_takes_n_by_d_inputs_and_n_targets(inputs, targets):
 def test_train_does_not_mutate_input_net():
     rng = np.random.default_rng(11)
     b = Bounds(lower=-np.ones(2), upper=np.ones(2))
-    net = init_net(2, 3, b, seed=1)
+    net = init_net(b, 3, seed=1)
     w1_before = net.w1.copy()
     X = rng.uniform(-1.0, 1.0, (30, 2))
     train(net, TrainingSet(inputs=X, targets=X[:, 0]), cycles=20)
